@@ -156,17 +156,18 @@ func sortByScoreDesc(order []int, score []float64) {
 	quickSort(order, func(a, b int) bool { return score[a] > score[b] }, 2*bits.Len(uint(len(order))))
 }
 
-// quickSort is a depth-bounded Hoare quicksort. Skewed partitions —
-// duplicate-heavy score arrays are the common source, and every anchor
-// tie scores identically — burn the depth budget instead of the
-// goroutine stack: once it is spent the range falls back to insertion
-// sort, which is also the small-range finisher. Recursing on the
-// smaller half and looping on the larger keeps the stack O(log n)
-// even before the budget trips.
+// quickSort is an introsort: a depth-bounded Hoare quicksort.
+// Skewed partitions — duplicate-heavy score arrays are the common
+// source, and every anchor tie scores identically — burn the depth
+// budget instead of the goroutine stack: once it is spent the range
+// falls back to heapsort, which keeps the whole sort O(n log n).
+// Insertion sort finishes small ranges. Recursing on the smaller half
+// and looping on the larger keeps the stack O(log n) even before the
+// budget trips.
 func quickSort(xs []int, less func(a, b int) bool, depth int) {
 	for len(xs) > 12 {
 		if depth == 0 {
-			insertionSort(xs, less)
+			heapSort(xs, less)
 			return
 		}
 		depth--
@@ -201,6 +202,36 @@ func insertionSort(xs []int, less func(a, b int) bool) {
 		for j := i; j > 0 && less(xs[j], xs[j-1]); j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
+	}
+}
+
+// heapSort sorts xs in O(n log n) comparisons whatever their order:
+// build a max-heap, then move the maximum to the end one at a time.
+func heapSort(xs []int, less func(a, b int) bool) {
+	for i := len(xs)/2 - 1; i >= 0; i-- {
+		siftDown(xs, i, len(xs), less)
+	}
+	for end := len(xs) - 1; end > 0; end-- {
+		xs[0], xs[end] = xs[end], xs[0]
+		siftDown(xs, 0, end, less)
+	}
+}
+
+// siftDown restores the max-heap property of xs[:n] below root.
+func siftDown(xs []int, root, n int, less func(a, b int) bool) {
+	for {
+		child := 2*root + 1
+		if child >= n {
+			return
+		}
+		if child+1 < n && less(xs[child], xs[child+1]) {
+			child++
+		}
+		if !less(xs[root], xs[child]) {
+			return
+		}
+		xs[root], xs[child] = xs[child], xs[root]
+		root = child
 	}
 }
 

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -238,21 +239,26 @@ func TestQuickSortOrdering(t *testing.T) {
 }
 
 // TestSortByScoreDescPathological: duplicate-heavy and pre-ordered
-// score arrays drove the unbounded quicksort into deeply skewed
-// recursion; the depth-bounded version must sort them all (all-equal
-// especially — every anchor tie scores identically) without leaning on
-// the goroutine stack, and still produce a descending permutation.
+// score arrays drive quicksort into deeply skewed partitions; the
+// introsort must sort them all (all-equal especially — every anchor
+// tie scores identically) without leaning on the goroutine stack,
+// produce a descending permutation, and stay O(n log n): the number of
+// comparisons is bounded, not the wall time.
 func TestSortByScoreDescPathological(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 200_000
 	cases := map[string]func(i int) float64{
-		"all-equal": func(int) float64 { return 42 },
-		"ascending": func(i int) float64 { return float64(i) },
+		"all-equal":  func(int) float64 { return 42 },
+		"ascending":  func(i int) float64 { return float64(i) },
 		"descending": func(i int) float64 { return float64(n - i) },
 		"two-valued": func(i int) float64 { return float64(i & 1) },
 		"organ-pipe": func(i int) float64 { return float64(min(i, n-i)) },
-		"random":    func(int) float64 { return rng.Float64() },
+		"random":     func(int) float64 { return rng.Float64() },
 	}
+	// Depth-budgeted quicksort makes at most ~2n comparisons per level
+	// over 2·log2(n) levels, and heapsort ~2n·log2(n) more; insertion
+	// sort only ever sees ranges of at most 12.
+	maxLess := 6 * n * bits.Len(uint(n))
 	for name, gen := range cases {
 		score := make([]float64, n)
 		order := make([]int, n)
@@ -260,7 +266,12 @@ func TestSortByScoreDescPathological(t *testing.T) {
 			score[i] = gen(i)
 			order[i] = i
 		}
-		sortByScoreDesc(order, score)
+		calls := 0
+		// The comparator and depth budget sortByScoreDesc uses, counted.
+		quickSort(order, func(a, b int) bool { calls++; return score[a] > score[b] }, 2*bits.Len(uint(n)))
+		if calls > maxLess {
+			t.Errorf("%s: %d comparisons, want at most %d (O(n log n))", name, calls, maxLess)
+		}
 		seen := make([]bool, n)
 		for i, idx := range order {
 			if seen[idx] {

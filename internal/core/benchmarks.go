@@ -277,6 +277,7 @@ func (b *phmmBench) RunCtx(ctx context.Context, threads int) (RunStats, error) {
 			"pairs":     float64(res.Pairs),
 			"cells":     float64(res.CellUpdates),
 			"fallbacks": float64(res.Fallbacks),
+			"digest":    float64(res.Digest),
 		},
 	}, nil
 }

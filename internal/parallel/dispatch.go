@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/tuning"
 )
@@ -72,7 +73,7 @@ func probeDispatch() int {
 		return DispatchChunked
 	}
 	const tasks = 192
-	var sink uint64
+	var sink atomic.Uint64 // workers add concurrently
 	work := func(task int) {
 		// Cost pattern 1..25 units, deterministic per task index.
 		units := (task%5 + 1) * (task%5 + 1)
@@ -80,7 +81,7 @@ func probeDispatch() int {
 		for i := 0; i < units*400; i++ {
 			s = s*6364136223846793005 + 1442695040888963407
 		}
-		sink += s
+		sink.Add(s)
 	}
 	ctx := context.Background()
 	chunkedNs := tuning.BestNs(3, 1, func() {
@@ -89,7 +90,6 @@ func probeDispatch() int {
 	stealNs := tuning.BestNs(3, 1, func() {
 		_ = ForEachStealingCtx(ctx, tasks, threads, func(_, task int) { work(task) })
 	})
-	_ = sink
 	if stealNs < chunkedNs*0.95 {
 		return DispatchStealing
 	}

@@ -284,14 +284,19 @@ type KernelResult struct {
 	Pairs       int
 	CellUpdates uint64
 	Fallbacks   int
-	TaskStats   *perf.TaskStats
-	Counters    perf.Counters
+	// Digest sums a hash of every read's (region, read, BestHap,
+	// likelihoods) modulo 2^52, so it is exact in a float64 and does
+	// not depend on block layout, thread count or dispatch order.
+	Digest    uint64
+	TaskStats *perf.TaskStats
+	Counters  perf.Counters
 }
 
-// RunKernel evaluates all regions with dynamic scheduling; each region
-// is one task, matching the paper's genome-region parallelism
-// granularity for phmm. It panics on failure; cancellable callers use
-// RunKernelCtx.
+// RunKernel evaluates all regions with dynamic scheduling. A region is
+// the accounting unit, matching the paper's genome-region parallelism
+// granularity for phmm: TaskStats holds one observation per region.
+// The scheduling unit is a block of a region's reads (see planBlocks).
+// It panics on failure; cancellable callers use RunKernelCtx.
 func RunKernel(regions []*Region, threads int) KernelResult {
 	res, err := RunKernelCtx(context.Background(), regions, threads)
 	if err != nil {
@@ -301,48 +306,50 @@ func RunKernel(regions []*Region, threads int) KernelResult {
 }
 
 // RunKernelCtx is RunKernel with cooperative cancellation and a fault
-// trip-point per region.
+// trip-point per read block.
 func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelResult, error) {
 	if threads <= 0 {
 		threads = 1
 	}
-	type ws struct {
-		pairs     int
-		cells     uint64
-		fallbacks int
-		stats     *perf.TaskStats
-		scratch   *Scratch
-		_         perf.CacheLinePad // workers update these per task; keep shards on private cache lines
-	}
-	workers := make([]ws, threads)
+	blocks := planBlocks(regions, threads)
 	pool := scratch.PoolFrom(ctx) // nil pool hands out fresh scratch
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("cell updates")
-		workers[i].scratch = pool.WorkerState(i, func() any { return NewScratch() }).(*Scratch)
+	scratches := make([]*Scratch, threads)
+	for i := range scratches {
+		scratches[i] = pool.WorkerState(i, func() any { return NewScratch() }).(*Scratch)
 	}
 	// Active-region cost skews with read depth and haplotype count, so
 	// the scheduler is the probed parallel.dispatch choice (shared
 	// counter vs work stealing); results are policy-independent.
-	err := parallel.ForEachDispatchErr(ctx, len(regions), threads, func(tctx context.Context, w, i int) error {
+	err := parallel.ForEachDispatchErr(ctx, len(blocks), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
-		r := EvaluateRegionInto(regions[i], workers[w].scratch)
-		workers[w].pairs += len(regions[i].Reads) * len(regions[i].Haps)
-		workers[w].cells += r.CellUpdates
-		workers[w].fallbacks += r.Fallbacks
-		workers[w].stats.Observe(float64(r.CellUpdates))
+		b := &blocks[i]
+		rg := regions[b.region]
+		view := Region{Reads: rg.Reads[b.lo:b.hi], Quals: rg.Quals[b.lo:b.hi], Haps: rg.Haps}
+		r := EvaluateRegionInto(&view, scratches[w])
+		var digest uint64
+		for k := range r.BestHap {
+			digest += readDigest(b.region, b.lo+k, r.BestHap[k], r.Likelihoods[k*len(rg.Haps):(k+1)*len(rg.Haps)])
+		}
+		b.cells, b.fallbacks, b.digest = r.CellUpdates, r.Fallbacks, digest
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
 	res := KernelResult{Regions: len(regions), TaskStats: perf.NewTaskStats("cell updates")}
-	for i := range workers {
-		res.Pairs += workers[i].pairs
-		res.CellUpdates += workers[i].cells
-		res.Fallbacks += workers[i].fallbacks
-		res.TaskStats.Merge(workers[i].stats)
+	regionCells := make([]uint64, len(regions))
+	for _, b := range blocks {
+		regionCells[b.region] += b.cells
+		res.CellUpdates += b.cells
+		res.Fallbacks += b.fallbacks
+		res.Digest += b.digest
+	}
+	res.Digest &= 1<<52 - 1
+	for i, rg := range regions {
+		res.Pairs += len(rg.Reads) * len(rg.Haps)
+		res.TaskStats.Observe(float64(regionCells[i]))
 	}
 	// phmm is the suite's floating-point kernel: each cell is ~9 FP
 	// multiply-adds, vectorized in the original.
@@ -352,4 +359,68 @@ func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelRe
 	res.Counters.Add(perf.Store, res.CellUpdates)
 	res.Counters.Add(perf.Branch, res.CellUpdates/8)
 	return res, nil
+}
+
+// block is RunKernelCtx's scheduling unit, reads [lo, hi) of one
+// region against all of its haplotypes, with the outputs its task
+// fills in.
+type block struct {
+	region, lo, hi int
+	cells          uint64
+	fallbacks      int
+	digest         uint64
+}
+
+// planBlocks lays the regions out as read blocks, in region order.
+// Per-(read, haplotype) likelihoods are independent, so the layout is
+// pure scheduling and outputs are bit-identical to one block per
+// region. A region whose estimated cost (Σ read length × Σ haplotype
+// length) exceeds 1/(8·threads) of the kernel's total is cut into
+// equal-count blocks of about that cost, so that one giant region no
+// longer bounds the kernel's wall time. Nothing is split at one thread.
+func planBlocks(regions []*Region, threads int) []block {
+	costs := make([]float64, len(regions))
+	var total float64
+	for i, rg := range regions {
+		var readLen, hapLen int
+		for _, r := range rg.Reads {
+			readLen += len(r)
+		}
+		for _, h := range rg.Haps {
+			hapLen += len(h)
+		}
+		costs[i] = float64(readLen) * float64(hapLen)
+		total += costs[i]
+	}
+	target := total / float64(8*threads)
+	blocks := make([]block, 0, len(regions))
+	for i, rg := range regions {
+		nr, n := len(rg.Reads), 1
+		if threads > 1 && costs[i] > target {
+			n = min(int(math.Ceil(costs[i]/target)), nr)
+		}
+		for k := 0; k < n; k++ {
+			blocks = append(blocks, block{region: i, lo: k * nr / n, hi: (k + 1) * nr / n})
+		}
+	}
+	return blocks
+}
+
+// readDigest hashes one read's outputs: its position, its
+// maximum-likelihood haplotype and the bits of every likelihood.
+func readDigest(region, read, best int, likelihoods []float64) uint64 {
+	h := mix64(uint64(region)<<32 ^ uint64(read))
+	h = mix64(h ^ uint64(best))
+	for _, ll := range likelihoods {
+		h = mix64(h ^ math.Float64bits(ll))
+	}
+	return h
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

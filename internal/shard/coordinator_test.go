@@ -191,23 +191,27 @@ func TestWorkerKilledMidRunReschedules(t *testing.T) {
 
 	// w1 dies the instant it receives its first shard; w2 and w3 carry
 	// the job. The shard w1 took must be rescheduled and the digest
-	// vector must come out identical to a clean run.
+	// vector must come out identical to a clean run. w1 is alone until
+	// it has taken that shard and died, so the healthy workers cannot
+	// drain the job before it gets one.
 	kill, err := faultinject.Parse("killworker:w1:1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w1done := startWorker(t, ctx, c, "w1", kill)
-	startWorker(t, ctx, c, "w2", nil)
-	startWorker(t, ctx, c, "w3", nil)
-	if err := c.WaitForWorkers(ctx, 3); err != nil {
+	if err := c.WaitForWorkers(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	const n, seed = 120, int64(3)
-	res, err := c.RunJob(ctx, JobSpec{
+	resCh, errCh := runJobAsync(ctx, c, JobSpec{
 		ID: c.NextJobID(), Kernel: "synth", Size: strconv.Itoa(n), Seed: seed,
 		NumTasks: n, NumShards: 12,
 	})
+	waitWorkersGone(t, ctx, c) // w1 took a shard and died
+	startWorker(t, ctx, c, "w2", nil)
+	startWorker(t, ctx, c, "w3", nil)
+	res, err := <-resCh, <-errCh
 	if err != nil {
 		t.Fatalf("RunJob: %v", err)
 	}
@@ -305,6 +309,19 @@ func TestCoordinatorCloseDrainsWorkers(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("worker %d did not drain after Close", i+1)
+		}
+	}
+}
+
+// waitWorkersGone blocks until the coordinator has unregistered every
+// worker.
+func waitWorkersGone(t *testing.T, ctx context.Context, c *Coordinator) {
+	t.Helper()
+	for c.Workers() > 0 {
+		select {
+		case <-ctx.Done():
+			t.Fatalf("%d worker(s) still registered: %v", c.Workers(), ctx.Err())
+		case <-time.After(5 * time.Millisecond):
 		}
 	}
 }
@@ -575,8 +592,7 @@ func TestHeartbeatSilenceDeclaresWorkerDead(t *testing.T) {
 	c := startCoordinator(t, opts)
 
 	silent := dialRaw(t, c.Addr(), "silent")
-	startWorker(t, ctx, c, "live", nil)
-	if err := c.WaitForWorkers(ctx, 2); err != nil {
+	if err := c.WaitForWorkers(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -586,6 +602,9 @@ func TestHeartbeatSilenceDeclaresWorkerDead(t *testing.T) {
 		NumTasks: n, NumShards: 2,
 	})
 	silent.pullAssign() // take a shard, then go completely quiet
+	// The live worker joins only now, so it cannot take both shards
+	// before the silent one holds one.
+	startWorker(t, ctx, c, "live", nil)
 
 	res, err := <-resCh, <-errCh
 	if err != nil {

@@ -93,7 +93,11 @@ func ReadFasta(r io.Reader) ([]FastaRecord, error) {
 			if err := flush(); err != nil {
 				return nil, err
 			}
-			name = strings.Fields(line[1:])[0]
+			fields := strings.Fields(line[1:])
+			if len(fields) == 0 {
+				return nil, fmt.Errorf("simio: FASTA header %q has an empty record name", line)
+			}
+			name = fields[0]
 			continue
 		}
 		if name == "" {
@@ -168,7 +172,11 @@ func ReadFastq(r io.Reader) ([]FastqRecord, error) {
 		if header[0] != '@' {
 			return fail(fmt.Errorf("bad FASTQ header %q", header))
 		}
-		name := strings.Fields(header[1:])[0]
+		fields := strings.Fields(header[1:])
+		if len(fields) == 0 {
+			return fail(fmt.Errorf("FASTQ header %q has an empty record name", header))
+		}
+		name := fields[0]
 		if !sc.Scan() {
 			return fail(io.ErrUnexpectedEOF)
 		}

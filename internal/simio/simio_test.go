@@ -2,6 +2,7 @@ package simio
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -41,6 +42,11 @@ func TestReadFastaErrors(t *testing.T) {
 	}
 	if _, err := ReadFasta(strings.NewReader(">x\nACGN\n")); err == nil {
 		t.Error("expected error for invalid base")
+	}
+	for _, in := range []string{">", ">  \nACGT\n", ">x\nACGT\n>\nACGT\n"} {
+		if _, err := ReadFasta(strings.NewReader(in)); err == nil {
+			t.Errorf("expected error for empty record name in %q", in)
+		}
 	}
 }
 
@@ -90,6 +96,15 @@ func TestReadFastqErrors(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ReadFastq(strings.NewReader(in)); err == nil {
 			t.Errorf("expected error for %q", in)
+		}
+	}
+	// An empty record name once indexed an empty field list and
+	// panicked; it is a malformed record like any other.
+	for _, in := range []string{"@", "@ \t\nACGT\n+\nIIII\n", "@x\nA\n+\nI\n@\nA\n+\nI\n"} {
+		recs, err := ReadFastq(strings.NewReader(in))
+		var serr *StreamError
+		if !errors.As(err, &serr) || serr.Records != len(recs) {
+			t.Errorf("ReadFastq(%q) = %d records, %v; want a *StreamError counting them", in, len(recs), err)
 		}
 	}
 }
