@@ -169,8 +169,8 @@ func (t *Trend) Best() float64 {
 	return best
 }
 
-// BestNs returns the fastest optimized ns/op ever recorded.
-func (t *Trend) BestNs() float64 {
+// fastestNs returns the fastest optimized ns/op ever recorded.
+func (t *Trend) fastestNs() float64 {
 	best := t.OptNs[0]
 	for _, v := range t.OptNs[1:] {
 		if v < best {
@@ -332,7 +332,7 @@ func TrendGate(history []*Report, opt TrendOptions) TrendVerdict {
 			continue
 		}
 		lastS, bestS := t.Last(), t.Best()
-		lastNs, bestNs := t.OptNs[len(t.OptNs)-1], t.BestNs()
+		lastNs, bestNs := t.OptNs[len(t.OptNs)-1], t.fastestNs()
 		nsCorroborated := bestNs > 0 && lastNs > bestNs*(1+opt.NsAboveBest)
 		var reasons, warns []string
 		if bestS > 0 && lastS < bestS*(1-opt.BelowBest) {

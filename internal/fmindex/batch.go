@@ -6,6 +6,7 @@ import (
 	"repro/internal/genome"
 	"repro/internal/prefetch"
 	"repro/internal/seq2"
+	"repro/internal/tuning"
 )
 
 // Batched lock-step SMEM search. The serial walk (FindSMEMs) is the
@@ -84,13 +85,12 @@ type BatchEngine struct {
 }
 
 // NewBatchEngine builds an engine of the given width over x. width<=0
-// resolves the fmindex.batch_width tunable (probed once per host,
-// cached on disk). tr (nil for none) receives the demand address
-// stream; if it also implements Prefetcher it receives the prefetch
-// stream.
+// selects tuning.FMIndexBatchWidth. tr (nil for none) receives the
+// demand address stream; if it also implements Prefetcher it receives
+// the prefetch stream.
 func NewBatchEngine(x *Index, width int, tr MemTracer) *BatchEngine {
 	if width <= 0 {
-		width = BatchWidth.Get()
+		width = tuning.FMIndexBatchWidth
 	}
 	e := &BatchEngine{x: x, width: width, tr: tr, lanes: make([]batchLane, width)}
 	if tr != nil {
@@ -348,10 +348,11 @@ func (e *BatchEngine) prefetchOcc(p int) {
 }
 
 // FindSMEMsBatch enumerates SMEMs for all reads through a fresh batch
-// engine of the given width (<=0 for the tunable), returning per-read
-// results in read order. lookups, when non-nil, accumulates total Occ
-// lookups. Results are freshly allocated copies; the hot kernel path
-// (RunKernelCtx) drives a per-worker engine directly instead.
+// engine of the given width (<=0 for tuning.FMIndexBatchWidth),
+// returning per-read results in read order. lookups, when non-nil,
+// accumulates total Occ lookups. Results are freshly allocated copies;
+// the hot kernel path (RunKernelCtx) drives a per-worker engine
+// directly instead.
 func (x *Index) FindSMEMsBatch(reads []genome.Seq, minLen, minHits, width int, lookups *uint64, tr MemTracer) [][]SMEM {
 	out := make([][]SMEM, len(reads))
 	e := NewBatchEngine(x, width, tr)

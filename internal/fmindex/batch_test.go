@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cachesim"
 	"repro/internal/genome"
+	"repro/internal/tuning"
 )
 
 // serialSMEMs is the reference: per-read serial enumeration with
@@ -105,11 +106,9 @@ func TestSmemBatchForcedWidths(t *testing.T) {
 		}
 		compareSMEMs(t, "width", reads, want, got, wantLk, gotLk)
 	}
-	// Width 0 resolves the tunable; pin it so the test is hermetic.
-	defer BatchWidth.Set(16)()
 	e := NewBatchEngine(x, 0, nil)
-	if e.Width() != 16 {
-		t.Fatalf("width 0 resolved to %d, want pinned 16", e.Width())
+	if e.Width() != tuning.FMIndexBatchWidth {
+		t.Fatalf("width 0 resolved to %d, want %d", e.Width(), tuning.FMIndexBatchWidth)
 	}
 }
 
@@ -140,7 +139,8 @@ func TestSmemBatchEmptyIntervalEarlyOut(t *testing.T) {
 }
 
 // The kernel's aggregate results (SMEM count, Occ lookups) must be
-// unchanged by the batched routing, at every thread count and width.
+// unchanged by the batched routing, at every thread count, and the
+// batch engine's at every width.
 func TestSmemBatchKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	g := genome.Random(rng, 8192)
@@ -159,19 +159,28 @@ func TestSmemBatchKernelDifferential(t *testing.T) {
 		wantLookups += lk
 	}
 	for _, threads := range []int{1, 2, 4} {
-		for _, width := range []int{0, 1, 8, 32} {
-			res, err := RunKernelCtx(context.Background(), x, reads,
-				KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: threads, BatchWidth: width})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.SMEMs != wantSmems || res.OccLookups != wantLookups {
-				t.Fatalf("threads=%d width=%d: got %d SMEMs / %d lookups, want %d / %d",
-					threads, width, res.SMEMs, res.OccLookups, wantSmems, wantLookups)
-			}
-			if res.Reads != len(reads) {
-				t.Fatalf("Reads = %d, want %d", res.Reads, len(reads))
-			}
+		res, err := RunKernelCtx(context.Background(), x, reads,
+			KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SMEMs != wantSmems || res.OccLookups != wantLookups {
+			t.Fatalf("threads=%d: got %d SMEMs / %d lookups, want %d / %d",
+				threads, res.SMEMs, res.OccLookups, wantSmems, wantLookups)
+		}
+		if res.Reads != len(reads) {
+			t.Fatalf("Reads = %d, want %d", res.Reads, len(reads))
+		}
+	}
+	for _, width := range []int{0, 1, 8, 32} {
+		var lookups uint64
+		smems := 0
+		for _, s := range x.FindSMEMsBatch(reads, 19, 1, width, &lookups, nil) {
+			smems += len(s)
+		}
+		if smems != wantSmems || lookups != wantLookups {
+			t.Fatalf("width=%d: got %d SMEMs / %d lookups, want %d / %d",
+				width, smems, lookups, wantSmems, wantLookups)
 		}
 	}
 }
@@ -195,7 +204,7 @@ func TestSmemBatchRaceHammer(t *testing.T) {
 	}
 	for rep := 0; rep < 3; rep++ {
 		res, err := RunKernelCtx(context.Background(), x, reads,
-			KernelConfig{MinSeedLen: 15, MinHits: 1, Threads: 8, BatchWidth: 4 + rep*6})
+			KernelConfig{MinSeedLen: 15, MinHits: 1, Threads: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

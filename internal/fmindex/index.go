@@ -215,7 +215,7 @@ func (x *Index) GenomeLen() int { return len(x.genome) }
 // Rows returns the number of BWT rows (textLen+1).
 func (x *Index) Rows() int { return x.textLen + 1 }
 
-// packOccBits (re)builds the 2-bit packed BWT used by occ4's popcount
+// packOccBits builds the 2-bit packed BWT used by occ4's popcount
 // ranking. The sentinel byte (code 4) packs as base A; occ4 corrects
 // the A count using the primary row position.
 func (x *Index) packOccBits() {

@@ -27,39 +27,6 @@ func TestOcc4PackedDifferential(t *testing.T) {
 	}
 }
 
-// Deserialized indexes must rebuild the packed Occ blocks: a lookup
-// after ReadIndex exercises occPacked.
-func TestOcc4PackedAfterRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	g := genome.Random(rng, 500)
-	x := Build(g)
-	var buf sliceWriter
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	y, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p <= y.textLen+1; p += 7 {
-		if got, want := y.occ4(p), y.occ4Scalar(p); got != want {
-			t.Fatalf("p=%d: packed %v, scalar %v", p, got, want)
-		}
-	}
-}
-
-type sliceWriter struct {
-	data []byte
-	off  int
-}
-
-func (s *sliceWriter) Write(p []byte) (int, error) { s.data = append(s.data, p...); return len(p), nil }
-func (s *sliceWriter) Read(p []byte) (int, error) {
-	n := copy(p, s.data[s.off:])
-	s.off += n
-	return n, nil
-}
-
 // countingTracer counts accesses with a plain (unsynchronized) field —
 // exactly the kind of tracer that raced when shared across workers.
 type countingTracer struct {

@@ -148,13 +148,6 @@ type KernelConfig struct {
 	MinHits    int // minimum occurrence count
 	Threads    int
 
-	// BatchWidth forces the lock-step batch engine's lane count; 0
-	// resolves the fmindex.batch_width tunable (microprobed per host,
-	// cached on disk). Width is pure dispatch policy: any value
-	// produces bit-identical results (batch_test.go pins this), it
-	// only moves the prefetch distance.
-	BatchWidth int
-
 	// NewWorkerTracer, when non-nil, is called once per worker to make
 	// that worker's private MemTracer; the kernel never shares one
 	// tracer between workers (sharing x.Tracer across threads is a data
@@ -212,7 +205,7 @@ func RunKernelCtx(ctx context.Context, x *Index, reads []genome.Seq, cfg KernelC
 		if cfg.NewWorkerTracer != nil {
 			workers[i].tracer = cfg.NewWorkerTracer(i)
 		}
-		workers[i].engine = NewBatchEngine(x, cfg.BatchWidth, workers[i].tracer)
+		workers[i].engine = NewBatchEngine(x, 0, workers[i].tracer)
 	}
 	// Note: x.Tracer is deliberately NOT consulted here — a tracer
 	// shared by concurrent workers is a data race. Tracing kernel runs

@@ -19,16 +19,6 @@ import (
 // instead of serializing. Insert order within a wave is unchanged, so
 // tables are bit-identical to the serial counters'.
 
-// WaveWidth is the prefetch window: how many k-mer slots are issued
-// before the first insert consumes one. Like fmindex.batch_width it is
-// probed from the host's memory-level-parallelism capacity (and cached
-// on disk); unlike it, hash probes carry no per-lane state, so wider
-// waves stay cheap and the default sits higher. Width is pure dispatch
-// policy — any value yields identical tables.
-var WaveWidth = tuning.NewInt("kmercnt.wave_width", 64, 4, 512, func() int {
-	return prefetch.BestWidth([]int{16, 32, 64, 128})
-})
-
 // Prefetcher is the optional MemTracer extension for software-prefetch
 // visibility (cachesim.Hierarchy implements it). Tracers without it see
 // only the demand stream — identical, insert for insert, to the serial
@@ -63,12 +53,12 @@ func (t *Table) flushWave(wave []uint64, pt Prefetcher) {
 	}
 }
 
-// waveScratch returns the table's grow-only wave buffer sized to the
-// resolved width.
+// waveScratch returns the table's wave buffer, sized to
+// tuning.KmerCntWaveWidth: how many k-mer slots are prefetched before
+// the first insert consumes one. Any width gives identical tables.
 func (t *Table) waveScratch() []uint64 {
-	w := WaveWidth.Get()
-	if cap(t.wave) < w {
-		t.wave = make([]uint64, 0, w)
+	if cap(t.wave) < tuning.KmerCntWaveWidth {
+		t.wave = make([]uint64, 0, tuning.KmerCntWaveWidth)
 	}
 	return t.wave[:0]
 }

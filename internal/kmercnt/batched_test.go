@@ -118,38 +118,35 @@ func TestBatchedPrefetchReducesSimulatedStalls(t *testing.T) {
 }
 
 // CountSeqPackedBatched must produce tables identical to
-// CountSeqPacked's at every wave width, including widths larger than
-// the read's k-mer count.
+// CountSeqPacked's, including on a read with fewer k-mers than one
+// wave holds.
 func TestPackedBatchedForcedWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	reads := make([]genome.Seq, 10)
 	for i := range reads {
 		reads[i] = genome.Random(rng, 50+rng.Intn(500))
 	}
+	reads = append(reads, genome.Random(rng, 20))
 	for _, k := range []int{5, 17, 31} {
 		want := NewTable(64, Linear)
 		var wantN uint64
 		for _, r := range reads {
 			wantN += CountSeqPacked(want, seq2.Pack(r), k)
 		}
-		for _, width := range []int{4, 7, 64, 512} {
-			restore := WaveWidth.Set(width)
-			got := NewTable(64, Linear)
-			var gotN uint64
-			for _, r := range reads {
-				gotN += CountSeqPackedBatched(got, seq2.Pack(r), k)
-			}
-			restore()
-			if gotN != wantN {
-				t.Fatalf("k=%d width=%d: counted %d, want %d", k, width, gotN, wantN)
-			}
-			if got.Len() != want.Len() {
-				t.Fatalf("k=%d width=%d: distinct %d, want %d", k, width, got.Len(), want.Len())
-			}
-			for _, kc := range want.TopKmers(1 << 20) {
-				if c := got.Count(kc.Kmer); c != kc.Count {
-					t.Fatalf("k=%d width=%d kmer %x: %d, want %d", k, width, kc.Kmer, c, kc.Count)
-				}
+		got := NewTable(64, Linear)
+		var gotN uint64
+		for _, r := range reads {
+			gotN += CountSeqPackedBatched(got, seq2.Pack(r), k)
+		}
+		if gotN != wantN {
+			t.Fatalf("k=%d: counted %d, want %d", k, gotN, wantN)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("k=%d: distinct %d, want %d", k, got.Len(), want.Len())
+		}
+		for _, kc := range want.TopKmers(1 << 20) {
+			if c := got.Count(kc.Kmer); c != kc.Count {
+				t.Fatalf("k=%d kmer %x: %d, want %d", k, kc.Kmer, c, kc.Count)
 			}
 		}
 	}

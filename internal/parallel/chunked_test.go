@@ -9,11 +9,19 @@ import (
 	"repro/internal/obs"
 )
 
+// chunked runs error-free tasks on ForEachChunkedCtxErr.
+func chunked(ctx context.Context, n, threads, chunk int, fn func(worker, task int)) error {
+	return ForEachChunkedCtxErr(ctx, n, threads, chunk, func(_ context.Context, worker, task int) error {
+		fn(worker, task)
+		return nil
+	})
+}
+
 func TestForEachChunkedCtxCoversAllTasks(t *testing.T) {
 	for _, chunk := range []int{1, 3, 7, 64} {
 		const n = 100
 		var hits [n]int32
-		err := ForEachChunkedCtx(context.Background(), n, 4, chunk, func(worker, task int) {
+		err := chunked(context.Background(), n, 4, chunk, func(worker, task int) {
 			atomic.AddInt32(&hits[task], 1)
 		})
 		if err != nil {
@@ -57,7 +65,7 @@ func TestForEachChunkedCtxErrCancellation(t *testing.T) {
 }
 
 func TestForEachChunkedCtxPanicIsolation(t *testing.T) {
-	err := ForEachChunkedCtx(context.Background(), 100, 2, 10, func(worker, task int) {
+	err := chunked(context.Background(), 100, 2, 10, func(worker, task int) {
 		if task == 42 {
 			panic("kaboom")
 		}
@@ -72,14 +80,14 @@ func TestForEachChunkedCtxPanicIsolation(t *testing.T) {
 }
 
 // The chunked variant must feed the same observability instruments
-// ForEachCtx records: one latency observation per chunk, worker
+// ForEachCtxErr records: one latency observation per chunk, worker
 // utilization, and a completed-task count equal to the chunk count.
 func TestForEachChunkedCtxRecordsMetrics(t *testing.T) {
 	o := obs.NewObserver()
 	ctx := obs.With(context.Background(), o)
 	ctx = obs.WithLabel(ctx, "chunky")
 	const n, chunk = 40, 10
-	if err := ForEachChunkedCtx(ctx, n, 2, chunk, func(worker, task int) {}); err != nil {
+	if err := chunked(ctx, n, 2, chunk, func(worker, task int) {}); err != nil {
 		t.Fatal(err)
 	}
 	hist := o.Histogram("parallel.task_latency_ns", "chunky", "ns")

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,8 +23,8 @@ import (
 	"repro/internal/perf"
 )
 
-// PanicError is a worker panic recovered by ForEachCtx: the scheduler
-// converts the panic into an error so one bad task cannot take down
+// PanicError is a worker panic recovered by the schedulers: they
+// convert the panic into an error so one bad task cannot take down
 // the whole process. The stack is captured at the panic site.
 type PanicError struct {
 	Task  int    // task index whose fn panicked
@@ -53,9 +52,9 @@ func (e *PanicError) PanicStack() []byte { return e.Stack }
 // A panicking task re-panics here (in the caller's goroutine, wrapped
 // in a *PanicError carrying the worker stack) instead of crashing the
 // process from a worker goroutine. Cancellable callers should use
-// ForEachCtx.
+// ForEachCtxErr.
 func ForEach(n, threads int, fn func(worker, task int)) {
-	if err := ForEachCtx(context.Background(), n, threads, fn); err != nil {
+	if err := forEachCtx(context.Background(), n, threads, fn); err != nil {
 		// With a background context the only possible failure is a
 		// recovered worker panic; surface it to preserve the historical
 		// panicking contract.
@@ -72,13 +71,13 @@ type workerClock struct {
 	_      perf.CacheLinePad
 }
 
-// ForEachCtx is ForEach with cooperative cancellation and panic
+// forEachCtx is ForEach with cooperative cancellation and panic
 // isolation: dispatch stops once ctx is cancelled (tasks already
 // running finish), and a panicking task stops dispatch and is returned
 // as a *PanicError instead of crashing the process. The first panic
 // wins; at most one error is returned. Returns ctx.Err() when the run
 // was cancelled, nil when every task completed.
-func ForEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) error {
+func forEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) error {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
@@ -182,7 +181,7 @@ func ForEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) 
 	return ctx.Err()
 }
 
-// ForEachCtxErr is ForEachCtx for error-returning tasks: the first
+// ForEachCtxErr is forEachCtx for error-returning tasks: the first
 // non-nil error a task returns cancels dispatch (in-flight tasks
 // finish) and is returned — even when that error is context.Canceled
 // itself, the recorded task error is what comes back, so callers can
@@ -193,10 +192,10 @@ func ForEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) 
 // everything except panics and surfaces as the parent's cause
 // (context.Canceled or context.DeadlineExceeded).
 func ForEachCtxErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
-	return errDispatch(ctx, n, threads, fn, ForEachCtx)
+	return errDispatch(ctx, n, threads, fn, forEachCtx)
 }
 
-// errDispatch adapts any plain scheduler (ForEachCtx-shaped run
+// errDispatch adapts any plain scheduler (forEachCtx-shaped run
 // function) to the error-returning task contract; ForEachCtxErr and
 // ForEachStealingErr share it so the subtle error/panic/cancellation
 // precedence lives in exactly one place.
@@ -232,61 +231,20 @@ func errDispatch(ctx context.Context, n, threads int, fn func(ctx context.Contex
 		return ctx.Err()
 	}
 	// taskErr was written before cancel(e) and the workers were joined
-	// before ForEachCtx returned, so this read is ordered.
+	// before the scheduler returned, so this read is ordered.
 	if taskErr != nil {
 		return taskErr
 	}
 	return err
 }
 
-// ForEachChunked is ForEach with a chunk size greater than one, reducing
-// scheduling overhead for very short tasks.
-func ForEachChunked(n, threads, chunk int, fn func(worker, task int)) {
-	if chunk <= 1 {
-		ForEach(n, threads, fn)
-		return
-	}
-	chunks := (n + chunk - 1) / chunk
-	ForEach(chunks, threads, func(worker, c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			fn(worker, i)
-		}
-	})
-}
-
-// ForEachChunkedCtx is ForEachCtx with a chunk size greater than one:
-// workers pull chunks of `chunk` consecutive task indices, cutting
-// scheduling overhead for fine-grained tasks while keeping cooperative
-// cancellation and panic isolation. It records into the same per-task
-// latency histogram and worker-utilization gauge ForEachCtx does; each
-// observation covers one chunk (the scheduling unit), and a
-// *PanicError reports the chunk index in Task.
-func ForEachChunkedCtx(ctx context.Context, n, threads, chunk int, fn func(worker, task int)) error {
-	if chunk <= 1 {
-		return ForEachCtx(ctx, n, threads, fn)
-	}
-	chunks := (n + chunk - 1) / chunk
-	return ForEachCtx(ctx, chunks, threads, func(worker, c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			fn(worker, i)
-		}
-	})
-}
-
-// ForEachChunkedCtxErr is ForEachCtxErr with chunked dispatch: the
-// error-returning, context-threading variant of ForEachChunkedCtx. The
-// first task error stops the chunk immediately (remaining indices of
-// that chunk are skipped) and cancels dispatch of further chunks.
+// ForEachChunkedCtxErr is ForEachCtxErr with chunked dispatch: workers
+// pull chunks of `chunk` consecutive task indices, cutting scheduling
+// overhead for fine-grained tasks. The scheduler metrics count chunks
+// (the scheduling unit), and a *PanicError reports the chunk index in
+// Task. The first task error stops the chunk immediately (remaining
+// indices of that chunk are skipped) and cancels dispatch of further
+// chunks.
 func ForEachChunkedCtxErr(ctx context.Context, n, threads, chunk int, fn func(ctx context.Context, worker, task int) error) error {
 	if chunk <= 1 {
 		return ForEachCtxErr(ctx, n, threads, fn)
@@ -333,17 +291,8 @@ type ScalingPoint struct {
 }
 
 // MeasureScaling runs work(threads) once for each requested thread
-// count and reports the speedup curve. It is MeasureScalingReps with
-// reps=1; measurements feeding real figures should use reps >= 3 so
-// single-shot noise does not distort the curve.
-func MeasureScaling(threadCounts []int, work func(threads int)) []ScalingPoint {
-	return MeasureScalingReps(threadCounts, 1, work)
-}
-
-// MeasureScalingReps runs work(threads) reps times for each requested
-// thread count, takes the median elapsed time per count, and reports
-// the speedup curve. work must perform the same total job regardless
-// of the thread count.
+// count and reports the speedup curve. work must perform the same
+// total job regardless of the thread count.
 //
 // Speedup is relative to the Threads==1 point wherever it appears in
 // threadCounts; when no 1-thread point was measured, the smallest
@@ -351,20 +300,13 @@ func MeasureScaling(threadCounts []int, work func(threads int)) []ScalingPoint {
 // comparable, just not anchored at 1.0). Efficiency divides by the
 // thread count, substituting GOMAXPROCS for non-positive counts —
 // that is how many workers a tc<=0 run actually uses.
-func MeasureScalingReps(threadCounts []int, reps int, work func(threads int)) []ScalingPoint {
-	if reps < 1 {
-		reps = 1
-	}
+func MeasureScaling(threadCounts []int, work func(threads int)) []ScalingPoint {
 	elapsed := make([]time.Duration, len(threadCounts))
-	runs := make([]time.Duration, reps)
 	for i, tc := range threadCounts {
-		for r := 0; r < reps; r++ {
-			runtime.GC() // stabilize allocator state between measurements
-			start := time.Now()
-			work(tc)
-			runs[r] = time.Since(start)
-		}
-		elapsed[i] = medianDuration(runs)
+		runtime.GC() // stabilize allocator state between measurements
+		start := time.Now()
+		work(tc)
+		elapsed[i] = time.Since(start)
 	}
 	return scalingPoints(threadCounts, elapsed)
 }
@@ -412,19 +354,4 @@ func scalingPoints(threadCounts []int, elapsed []time.Duration) []ScalingPoint {
 		points = append(points, p)
 	}
 	return points
-}
-
-// medianDuration returns the median of ds (the mean of the two middle
-// values for even lengths). ds is not modified.
-func medianDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2
 }

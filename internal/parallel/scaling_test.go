@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,52 +75,6 @@ func TestScalingZeroElapsedGuard(t *testing.T) {
 	}
 }
 
-func TestMeasureScalingRepsRunsWorkRepsTimes(t *testing.T) {
-	var calls atomic.Int64
-	perThread := map[int]int{}
-	pts := MeasureScalingReps([]int{2, 1}, 3, func(threads int) {
-		calls.Add(1)
-		perThread[threads]++
-	})
-	if calls.Load() != 6 {
-		t.Errorf("work called %d times, want 2 counts × 3 reps", calls.Load())
-	}
-	if perThread[1] != 3 || perThread[2] != 3 {
-		t.Errorf("per-thread calls = %v", perThread)
-	}
-	if len(pts) != 2 || pts[0].Threads != 2 || pts[1].Threads != 1 {
-		t.Errorf("points = %+v", pts)
-	}
-	if math.Abs(pts[1].Speedup-1.0) > 1e-9 {
-		t.Errorf("1-thread speedup = %v, want baseline 1.0 despite sweep order", pts[1].Speedup)
-	}
-}
-
-func TestMedianDuration(t *testing.T) {
-	cases := []struct {
-		in   []time.Duration
-		want time.Duration
-	}{
-		{nil, 0},
-		{[]time.Duration{5}, 5},
-		{[]time.Duration{9, 1, 5}, 5},
-		{[]time.Duration{4, 1, 3, 2}, (2 + 3) / 2},
-		{[]time.Duration{100, 1, 1}, 1}, // one slow outlier does not move the median
-	}
-	for _, tc := range cases {
-		in := append([]time.Duration(nil), tc.in...)
-		if got := medianDuration(tc.in); got != tc.want {
-			t.Errorf("median(%v) = %v, want %v", tc.in, got, tc.want)
-		}
-		for i := range in {
-			if in[i] != tc.in[i] {
-				t.Errorf("medianDuration mutated its input: %v -> %v", in, tc.in)
-				break
-			}
-		}
-	}
-}
-
 func TestForEachCtxErrReturnsRecordedCanceledTaskError(t *testing.T) {
 	// Regression: a task that legitimately returns context.Canceled
 	// (e.g. a stale deadline bubbling out of nested work) must come
@@ -178,7 +131,7 @@ func TestForEachCtxRecordsTaskMetrics(t *testing.T) {
 	o := obs.NewObserver()
 	ctx := obs.WithLabel(obs.With(context.Background(), o), "fmi")
 	n := 64
-	err := ForEachCtx(ctx, n, 4, func(worker, task int) {
+	err := counter(ctx, n, 4, func(worker, task int) {
 		time.Sleep(100 * time.Microsecond)
 	})
 	if err != nil {
@@ -206,7 +159,7 @@ func TestForEachCtxRecordsTaskMetrics(t *testing.T) {
 func TestForEachCtxNoObserverNoMetrics(t *testing.T) {
 	// Without an observer the scheduler must not panic or allocate
 	// metric state; plain runs stay plain.
-	if err := ForEachCtx(context.Background(), 16, 2, func(worker, task int) {}); err != nil {
+	if err := counter(context.Background(), 16, 2, func(worker, task int) {}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,10 +12,10 @@ import (
 	"repro/internal/perf"
 )
 
-// Work-stealing dispatch. The shared-counter schedulers (ForEachCtx
-// and friends) serialize every dispatch on one atomic cache line; fine
+// Work-stealing dispatch. The shared-counter scheduler (forEachCtx)
+// serializes every dispatch on one atomic cache line; fine
 // for coarse tasks, but the line ping-pongs across cores and offers no
-// locality. ForEachStealing instead seeds each worker with a
+// locality. ForEachStealingErr instead seeds each worker with a
 // contiguous block of task indices in a private deque: the owner pops
 // from its own deque with no cross-core traffic, and only workers that
 // run dry touch anyone else's, stealing from the most loaded victim —
@@ -33,7 +33,7 @@ import (
 // every kernel task here is microseconds to milliseconds of DP, so the
 // uncontended lock is noise and the contended case is rare by design.
 //
-// Panic isolation, cancellation, and observability match ForEachCtx
+// Panic isolation, cancellation, and observability match forEachCtx
 // exactly (same PanicError type and first-panic-wins contract, same
 // ctx.Err() dispatch check, same task-latency histogram and
 // utilization/workers/tasks gauges), plus a parallel.steals counter.
@@ -93,21 +93,13 @@ func (d *stealDeque) refill(lo, hi int) {
 	d.mu.Unlock()
 }
 
-// ForEachStealing is ForEach with work-stealing dispatch: same
-// cover-every-task-once and re-panic contract, different scheduler.
-func ForEachStealing(n, threads int, fn func(worker, task int)) {
-	if err := ForEachStealingCtx(context.Background(), n, threads, fn); err != nil {
-		panic(err)
-	}
-}
-
-// ForEachStealingCtx runs fn(worker, task) for every task in [0,n) on
+// forEachStealingCtx runs fn(worker, task) for every task in [0,n) on
 // `threads` workers with per-worker deques and skew-aware stealing.
-// Cancellation, panic isolation, and observability follow ForEachCtx:
+// Cancellation, panic isolation, and observability follow forEachCtx:
 // dispatch stops once ctx is cancelled (running tasks finish), the
 // first worker panic wins and returns as a *PanicError, and the same
 // histogram/gauges are recorded plus a parallel.steals counter.
-func ForEachStealingCtx(ctx context.Context, n, threads int, fn func(worker, task int)) error {
+func forEachStealingCtx(ctx context.Context, n, threads int, fn func(worker, task int)) error {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
@@ -139,7 +131,7 @@ func ForEachStealingCtx(ctx context.Context, n, threads int, fn func(worker, tas
 		defer func() {
 			if r := recover(); r != nil {
 				// debug.Stack in a deferred recover still sees the
-				// panicking frames, same as ForEachCtx.
+				// panicking frames, same as forEachCtx.
 				stack := debug.Stack()
 				once.Do(func() {
 					perr = &PanicError{Task: task, Value: r, Stack: stack}
@@ -239,5 +231,5 @@ func ForEachStealingCtx(ctx context.Context, n, threads int, fn func(worker, tas
 // error-returning tasks, first error cancels dispatch, identical
 // panic/parent-cancellation precedence.
 func ForEachStealingErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
-	return errDispatch(ctx, n, threads, fn, ForEachStealingCtx)
+	return errDispatch(ctx, n, threads, fn, forEachStealingCtx)
 }

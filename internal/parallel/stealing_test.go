@@ -15,11 +15,27 @@ import (
 // case, then add stealing-specific coverage (skew rebalancing, deque
 // exhaustion under -race).
 
+// stealing runs error-free tasks on ForEachStealingErr.
+func stealing(ctx context.Context, n, threads int, fn func(worker, task int)) error {
+	return ForEachStealingErr(ctx, n, threads, func(_ context.Context, worker, task int) error {
+		fn(worker, task)
+		return nil
+	})
+}
+
+// runStealing is stealing on a background context; any error fails t.
+func runStealing(t *testing.T, n, threads int, fn func(worker, task int)) {
+	t.Helper()
+	if err := stealing(context.Background(), n, threads, fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStealingCoversAllTasksOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		for _, n := range []int{1, 7, 1000} {
 			counts := make([]int32, n)
-			ForEachStealing(n, threads, func(worker, task int) {
+			runStealing(t, n, threads, func(worker, task int) {
 				atomic.AddInt32(&counts[task], 1)
 			})
 			for i, c := range counts {
@@ -33,12 +49,12 @@ func TestStealingCoversAllTasksOnce(t *testing.T) {
 
 func TestStealingZeroTasksAndDefaults(t *testing.T) {
 	ran := false
-	ForEachStealing(0, 4, func(int, int) { ran = true })
+	runStealing(t, 0, 4, func(int, int) { ran = true })
 	if ran {
 		t.Error("fn ran for n=0")
 	}
 	var total int64
-	ForEachStealing(100, 0, func(worker, task int) { atomic.AddInt64(&total, int64(task)) })
+	runStealing(t, 100, 0, func(worker, task int) { atomic.AddInt64(&total, int64(task)) })
 	if total != 4950 {
 		t.Errorf("sum = %d, want 4950", total)
 	}
@@ -46,14 +62,14 @@ func TestStealingZeroTasksAndDefaults(t *testing.T) {
 
 func TestStealingWorkerIDsInRange(t *testing.T) {
 	threads := 3
-	ForEachStealing(200, threads, func(worker, task int) {
+	runStealing(t, 200, threads, func(worker, task int) {
 		if worker < 0 || worker >= threads {
 			t.Errorf("worker id %d out of range", worker)
 		}
 	})
 	// threads > n: clamped, worker ids stay under n.
 	counts := make([]int32, 3)
-	err := ForEachStealingCtx(context.Background(), 3, 64, func(worker, task int) {
+	err := stealing(context.Background(), 3, 64, func(worker, task int) {
 		if worker < 0 || worker >= 3 {
 			t.Errorf("worker id %d out of clamped range", worker)
 		}
@@ -72,7 +88,7 @@ func TestStealingWorkerIDsInRange(t *testing.T) {
 func TestStealingPanicReturnsErrorExactlyOnce(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		var ran int32
-		err := ForEachStealingCtx(context.Background(), 100, threads, func(worker, task int) {
+		err := stealing(context.Background(), 100, threads, func(worker, task int) {
 			atomic.AddInt32(&ran, 1)
 			if task == 7 {
 				panic("boom in task 7")
@@ -97,7 +113,7 @@ func TestStealingPanicReturnsErrorExactlyOnce(t *testing.T) {
 }
 
 func TestStealingAllWorkersPanicSingleError(t *testing.T) {
-	err := ForEachStealingCtx(context.Background(), 64, 8, func(worker, task int) {
+	err := stealing(context.Background(), 64, 8, func(worker, task int) {
 		panic(task)
 	})
 	var pe *PanicError
@@ -111,7 +127,7 @@ func TestStealingCancellationStopsDispatch(t *testing.T) {
 	var started int32
 	release := make(chan struct{})
 	var once sync.Once
-	err := ForEachStealingCtx(ctx, 10_000, 4, func(worker, task int) {
+	err := stealing(ctx, 10_000, 4, func(worker, task int) {
 		atomic.AddInt32(&started, 1)
 		once.Do(func() {
 			cancel()
@@ -131,7 +147,7 @@ func TestStealingPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := ForEachStealingCtx(ctx, 100, 1, func(worker, task int) { ran = true })
+	err := stealing(ctx, 100, 1, func(worker, task int) { ran = true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -185,21 +201,6 @@ func TestStealingErrParentCancellation(t *testing.T) {
 	}
 }
 
-func TestStealingRepanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %v (%T), want *PanicError", r, r)
-		}
-		if pe.Value != "stealing boom" {
-			t.Errorf("panic value = %v", pe.Value)
-		}
-	}()
-	ForEachStealing(10, 2, func(worker, task int) { panic("stealing boom") })
-	t.Fatal("ForEachStealing did not re-panic")
-}
-
 // TestStealingRebalancesSkew pins the scheduler's reason to exist:
 // with all the heavy tasks seeded into one worker's block, idle
 // workers must steal them. Every worker sleeps per task, so if no
@@ -212,7 +213,7 @@ func TestStealingRebalancesSkew(t *testing.T) {
 	d := 2 * time.Millisecond
 	owner := make([]int32, n)
 	start := time.Now()
-	ForEachStealing(n, threads, func(worker, task int) {
+	runStealing(t, n, threads, func(worker, task int) {
 		// Tasks in the first block (worker 0's seed) are the slow ones.
 		if task < n/threads {
 			time.Sleep(4 * d)
@@ -242,7 +243,7 @@ func TestStealingRebalancesSkew(t *testing.T) {
 func TestStealingManyTasksRace(t *testing.T) {
 	for rep := 0; rep < 5; rep++ {
 		var total int64
-		ForEachStealing(5000, 8, func(worker, task int) {
+		runStealing(t, 5000, 8, func(worker, task int) {
 			atomic.AddInt64(&total, 1)
 		})
 		if total != 5000 {

@@ -317,10 +317,7 @@ func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelRe
 	for i := range scratches {
 		scratches[i] = pool.WorkerState(i, func() any { return NewScratch() }).(*Scratch)
 	}
-	// Active-region cost skews with read depth and haplotype count, so
-	// the scheduler is the probed parallel.dispatch choice (shared
-	// counter vs work stealing); results are policy-independent.
-	err := parallel.ForEachDispatchErr(ctx, len(blocks), threads, func(tctx context.Context, w, i int) error {
+	err := parallel.ForEachCtxErr(ctx, len(blocks), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}

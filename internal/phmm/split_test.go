@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/genome"
-	"repro/internal/parallel"
 	"repro/internal/perf"
 )
 
@@ -109,30 +108,26 @@ func TestPlanBlocksSplitsOversizedRegions(t *testing.T) {
 }
 
 // TestRunKernelSplitMatchesUnsplit is the split-vs-unsplit
-// differential: at every thread count and under both dispatch
-// policies, the read-block schedule reports exactly what evaluating
-// each region whole does, down to every likelihood bit (via Digest).
+// differential: at every thread count the read-block schedule reports
+// exactly what evaluating each region whole does, down to every
+// likelihood bit (via Digest).
 func TestRunKernelSplitMatchesUnsplit(t *testing.T) {
 	regions := splitFixture()
 	want := unsplitReference(regions)
 	if want.Fallbacks == 0 {
 		t.Fatal("fixture exercises no float64 fallback")
 	}
-	for _, policy := range []int{parallel.DispatchChunked, parallel.DispatchStealing} {
-		restore := parallel.ForceDispatch(policy)
-		for _, threads := range []int{1, 2, 4, 8} {
-			got := RunKernel(regions, threads)
-			if got.Regions != want.Regions || got.Pairs != want.Pairs || got.CellUpdates != want.CellUpdates ||
-				got.Fallbacks != want.Fallbacks || got.Digest != want.Digest {
-				t.Errorf("policy %d threads %d: got regions=%d pairs=%d cells=%d fallbacks=%d digest=%x, want %d %d %d %d %x",
-					policy, threads, got.Regions, got.Pairs, got.CellUpdates, got.Fallbacks, got.Digest,
-					want.Regions, want.Pairs, want.CellUpdates, want.Fallbacks, want.Digest)
-			}
-			if g, w := got.TaskStats.Summarize(), want.TaskStats.Summarize(); !reflect.DeepEqual(g, w) {
-				t.Errorf("policy %d threads %d: task stats %+v, want %+v", policy, threads, g, w)
-			}
+	for _, threads := range []int{1, 2, 4, 8} {
+		got := RunKernel(regions, threads)
+		if got.Regions != want.Regions || got.Pairs != want.Pairs || got.CellUpdates != want.CellUpdates ||
+			got.Fallbacks != want.Fallbacks || got.Digest != want.Digest {
+			t.Errorf("threads %d: got regions=%d pairs=%d cells=%d fallbacks=%d digest=%x, want %d %d %d %d %x",
+				threads, got.Regions, got.Pairs, got.CellUpdates, got.Fallbacks, got.Digest,
+				want.Regions, want.Pairs, want.CellUpdates, want.Fallbacks, want.Digest)
 		}
-		restore()
+		if g, w := got.TaskStats.Summarize(), want.TaskStats.Summarize(); !reflect.DeepEqual(g, w) {
+			t.Errorf("threads %d: task stats %+v, want %+v", threads, g, w)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/perf"
 	"repro/internal/seq2"
 	"repro/internal/simio"
+	"repro/internal/tuning"
 )
 
 // RegionSize is the paper's per-task region width in bases.
@@ -57,17 +58,15 @@ type Region struct {
 // (simio.Alignment.Pack; real BAM records are packed natively) the
 // counters are bumped four bases per word chunk — one word load per
 // 32 bases, two shifts, a mask and an increment per base, no per-base
-// bounds checks. Runs below the word-walk cutover take the SWAR
-// gather (countMatchRunShort): the whole run is spliced out of its one
-// or two packed words into a single register first. Very short runs —
-// and every run of an unpacked record — use the byte walk on the
-// clamped run. The two thresholds are per-host tunables measured by a
-// startup microprobe (see tuning.go); the dispatch is pure routing, so
-// results are exactly CountRegionScalar's for any threshold setting
-// (integer counters, no rounding to tolerate), which the differential
-// tests assert across forced policies.
+// bounds checks. Runs shorter than tuning.PileupWordRunMin take the
+// SWAR gather (countMatchRunShort): the whole run is spliced out of
+// its one or two packed words into a single register first. Runs
+// shorter than tuning.PileupShortRunMin — and every run of an unpacked
+// record — use the byte walk on the clamped run. The dispatch is pure
+// routing, so results are exactly CountRegionScalar's (integer
+// counters, no rounding to tolerate), which the differential tests
+// assert across run lengths that reach all three walkers.
 func CountRegion(rg *Region) ([]Counts, int) {
-	wordMin, shortMin := wordRunMin.Get(), shortRunMin.Get()
 	counts := make([]Counts, rg.End-rg.Start)
 	for _, a := range rg.Alignments {
 		strand := 0
@@ -92,9 +91,9 @@ func CountRegion(rg *Region) ([]Counts, int) {
 					dst := counts[lo-rg.Start : lo-rg.Start+(hi-lo)]
 					q0 := readPos + (lo - refPos)
 					switch {
-					case packed != nil && hi-lo >= wordMin:
+					case packed != nil && hi-lo >= tuning.PileupWordRunMin:
 						countMatchRunPacked(dst, packed, q0, strand)
-					case packed != nil && hi-lo >= shortMin:
+					case packed != nil && hi-lo >= tuning.PileupShortRunMin:
 						countMatchRunShort(dst, packed, q0, strand)
 					default:
 						run := a.Seq[q0 : q0+(hi-lo)]
@@ -127,14 +126,14 @@ func CountRegion(rg *Region) ([]Counts, int) {
 
 // packedRunCutover is the hard capacity bound of the short-run SWAR
 // gather: a run it handles must fit one 64-bit register after the
-// phase shift, so at most 31 bases. It caps the measured wordRunMin
-// tunable; the actual per-host dispatch thresholds live in tuning.go.
-// Short runs dominate noisy long-read CIGARs; long runs dominate
-// accurate (HiFi-like) ones — which of the three walkers wins at a
-// given length is a property of the host, so it is measured, not
-// assumed (the assumed constant is what let the pileup/count speedup
-// drift silently across BENCH_PR4 -> PR5).
+// phase shift, so at most 31 bases. Short runs dominate noisy
+// long-read CIGARs; long runs dominate accurate (HiFi-like) ones.
 const packedRunCutover = 32
+
+// Every run the gather is handed is shorter than PileupWordRunMin, so
+// that threshold may not exceed the gather's capacity (a negative
+// constant here fails to compile).
+const _ uint = packedRunCutover - tuning.PileupWordRunMin
 
 // countsStride is the byte distance between consecutive positions'
 // counters, used by the packed walk's pointer stride.

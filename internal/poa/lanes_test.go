@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/genome"
-	"repro/internal/lanes"
 )
 
 // addBoth adds seq to a scalar-pinned graph and a lane graph and
@@ -15,7 +14,6 @@ import (
 func addBoth(t *testing.T, gs, gl *Graph, seq genome.Seq, p Params, mode AlignMode, trial, step int) {
 	t.Helper()
 	gs.forceScalar = true
-	gl.forceLanes = true // pin the path under test past the measured work floor
 	gs.AddSequenceMode(seq, p, mode)
 	gl.AddSequenceMode(seq, p, mode)
 	if gs.NumNodes() != gl.NumNodes() || gs.NumEdges() != gl.NumEdges() {
@@ -167,9 +165,8 @@ func TestLaneEligibleGuard(t *testing.T) {
 
 // TestBarelyIneligibleForcedWideFallsBack pins the widened 16-lane
 // range proof at its boundary: a window that misses eligibility by a
-// hair must take the scalar path even when the caller forces wide
-// dispatch (forceLanes overrides the measured work floor, never the
-// proof), and must still produce the scalar result. With maxAbs=170
+// hair must take the scalar path even though every eligible window
+// takes the wide one, and must still produce the scalar result. With maxAbs=170
 // the bound maxAbs*(V+n+16) <= 32000 admits V+n <= 172: a 90-base
 // backbone re-aligned against itself (V=n=90, V+n=180) sits just
 // outside, a 78-base one (V+n=156) just inside.
@@ -194,12 +191,11 @@ func TestBarelyIneligibleForcedWideFallsBack(t *testing.T) {
 	gs.AddSequenceMode(mutated, p, GlobalMode)
 
 	gw := New()
-	gw.forceLanes = true
 	gw.AddSequenceMode(backbone, p, GlobalMode)
 	gw.AddSequenceMode(mutated, p, GlobalMode)
 
 	if len(gw.score16) != 0 {
-		t.Fatal("barely-ineligible window still took the wide int16 path under forced dispatch")
+		t.Fatal("barely-ineligible window still took the wide int16 path")
 	}
 	if gw.NumNodes() != gs.NumNodes() || gw.NumEdges() != gs.NumEdges() {
 		t.Fatal("fallback graph shape diverged from the scalar reference")
@@ -239,62 +235,9 @@ func TestCSRSnapshotInvalidation(t *testing.T) {
 	}
 }
 
-// TestLaneMinWorkDispatch pins the measured-profitability gate: an
-// eligible window below the work floor must take the scalar path (its
-// int16 table is never grown), and the floor at zero restores lanes.
-// The consensus must not change either way — the floor is pure policy.
-func TestLaneMinWorkDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	// Small window: every alignment's V*n stays well under the floor
-	// cap, so pinning the floor to the cap must route all of them to
-	// the scalar path.
-	base := genome.Random(rng, 40)
-	w := &Window{}
-	for s := 0; s < 3; s++ {
-		seq := base.Clone()
-		seq[rng.Intn(len(seq))] = genome.Base(rng.Intn(4))
-		w.Sequences = append(w.Sequences, seq)
-	}
-	p := DefaultParams()
-	want, _ := ConsensusScalarInto(w, p, New())
-
-	restore := lanes.WideMinWork.Set(lanes.WideMinWorkCap)
-	g := New()
-	got, _ := ConsensusInto(w, p, g)
-	if len(g.score16) != 0 {
-		t.Fatal("window below the work floor still took the lane path")
-	}
-	if !got.Equal(want) {
-		t.Fatal("scalar-routed consensus diverged")
-	}
-	restore()
-
-	defer lanes.WideMinWork.Set(0)()
-	g = New()
-	got, _ = ConsensusInto(w, p, g)
-	if len(g.score16) == 0 {
-		t.Fatal("zero work floor did not restore the lane path")
-	}
-	if !got.Equal(want) {
-		t.Fatal("lane-routed consensus diverged")
-	}
-}
-
-// TestProbeWideMinWork checks the microprobe returns an in-range,
-// cap-respecting answer on this host.
-func TestProbeWideMinWork(t *testing.T) {
-	got := probeWideMinWork()
-	if got < 0 || got > lanes.WideMinWorkCap {
-		t.Fatalf("probe returned %d, out of [0, %d]", got, lanes.WideMinWorkCap)
-	}
-}
-
 // BenchmarkAddSequenceLanes is the scalar-vs-lane single-thread pair
-// on realistic windows (the BENCH_PR5 shape). The work floor is pinned
-// to zero so both sides measure what their names promise regardless of
-// the probe's verdict on the bench host.
+// on realistic windows (the BENCH_PR5 shape).
 func BenchmarkAddSequenceLanes(b *testing.B) {
-	defer lanes.WideMinWork.Set(0)()
 	rng := rand.New(rand.NewSource(55))
 	windows := make([]*Window, 8)
 	for i := range windows {

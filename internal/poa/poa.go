@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/genome"
-	"repro/internal/lanes"
 	"repro/internal/parallel"
 	"repro/internal/perf"
 	"repro/internal/scratch"
@@ -87,12 +86,7 @@ type Graph struct {
 
 	// forceScalar pins AddSequence to the scalar int32 reference path
 	// (set via ConsensusScalarInto, and by differential tests).
-	// forceLanes pins eligible windows to the lane path regardless of
-	// the measured lanes.WideMinWork floor (differential tests and the
-	// tuning microprobe, which must not consult the tunable it feeds).
-	// forceScalar wins when both are set.
 	forceScalar bool
-	forceLanes  bool
 }
 
 // New creates an empty graph.
@@ -286,13 +280,9 @@ func (g *Graph) AddSequenceMode(seq genome.Seq, p Params, mode AlignMode) {
 	order := g.topoOrder()
 	n := len(seq)
 	V := len(order)
-	// Lane dispatch is two independent questions: laneEligible is the
-	// int16 range proof (correctness — never overridden),
-	// lanes.WideMinWork the measured profitability floor on V*n
-	// (policy — forceLanes short-circuits it so forced paths and the
-	// microprobe never consult the tunable mid-resolution).
-	if !g.forceScalar && laneEligible(p, V, n) &&
-		(g.forceLanes || V*n >= lanes.WideMinWork.Get()) {
+	// laneEligible is the int16 range proof: every eligible window
+	// takes the lane path.
+	if !g.forceScalar && laneEligible(p, V, n) {
 		g.addSequenceLanes(seq, p, mode, order)
 		return
 	}

@@ -66,7 +66,6 @@ func TestWideSimdOffMatchesAsm(t *testing.T) {
 		w := randomWindow(rng)
 
 		ga := New()
-		ga.forceLanes = true
 		var ca genome.Seq
 		for _, seq := range w.Sequences {
 			ga.AddSequenceMode(seq, p, GlobalMode)
@@ -76,7 +75,6 @@ func TestWideSimdOffMatchesAsm(t *testing.T) {
 
 		restore := cpufeat.ForceForTest("off")
 		gp := New()
-		gp.forceLanes = true
 		for _, seq := range w.Sequences {
 			gp.AddSequenceMode(seq, p, GlobalMode)
 		}

@@ -7,6 +7,7 @@ package simio
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -65,20 +66,31 @@ func WriteFasta(w io.Writer, records []FastaRecord) error {
 	return bw.Flush()
 }
 
-// ReadFasta parses all records from a FASTA stream.
+// ReadFasta parses all records from a FASTA stream. A failure partway
+// through (truncated .fa.gz, malformed record) returns the records
+// completed so far together with a *StreamError carrying the record
+// count, as ReadFastq does.
 func ReadFasta(r io.Reader) ([]FastaRecord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var records []FastaRecord
 	var name string
 	var body strings.Builder
+	// fail wraps a mid-stream error, preferring the scanner's IO error
+	// as the root cause, as ReadFastq does.
+	fail := func(err error) ([]FastaRecord, error) {
+		if serr := sc.Err(); serr != nil {
+			err = serr
+		}
+		return records, &StreamError{Format: "fasta", Records: len(records), Err: err}
+	}
 	flush := func() error {
 		if name == "" {
 			return nil
 		}
 		seq, err := genome.FromString(body.String())
 		if err != nil {
-			return fmt.Errorf("simio: record %q: %w", name, err)
+			return fmt.Errorf("record %q: %w", name, err)
 		}
 		records = append(records, FastaRecord{Name: name, Seq: seq})
 		body.Reset()
@@ -91,29 +103,27 @@ func ReadFasta(r io.Reader) ([]FastaRecord, error) {
 		}
 		if line[0] == '>' {
 			if err := flush(); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			fields := strings.Fields(line[1:])
 			if len(fields) == 0 {
-				return nil, fmt.Errorf("simio: FASTA header %q has an empty record name", line)
+				return fail(fmt.Errorf("FASTA header %q has an empty record name", line))
 			}
 			name = fields[0]
 			continue
 		}
 		if name == "" {
-			return nil, fmt.Errorf("simio: sequence data before first FASTA header")
+			return fail(errors.New("sequence data before first FASTA header"))
 		}
 		body.WriteString(line)
 	}
 	if err := sc.Err(); err != nil {
-		// Truncated/corrupted stream (e.g. a chopped .fa.gz): hand back
-		// the records completed before the failure with a StreamError
-		// carrying the count. The in-progress record is dropped — its
-		// tail is missing.
-		return records, &StreamError{Format: "fasta", Records: len(records), Err: err}
+		// Truncated/corrupted stream (e.g. a chopped .fa.gz): the
+		// in-progress record is dropped — its tail is missing.
+		return fail(err)
 	}
 	if err := flush(); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	return records, nil
 }

@@ -1,123 +1,29 @@
 package tuning
 
 import (
-	"os"
-	"sync"
+	"sort"
 	"testing"
 )
 
-func TestProbeRunsOnceAndClamps(t *testing.T) {
-	calls := 0
-	tn := NewInt("test.once", 10, 0, 20, func() int { calls++; return 99 })
-	if got := tn.Get(); got != 20 {
-		t.Fatalf("Get = %d, want probe result clamped to 20", got)
-	}
-	for i := 0; i < 5; i++ {
-		tn.Get()
-	}
-	if calls != 1 {
-		t.Fatalf("probe ran %d times, want 1", calls)
-	}
-}
-
-func TestNilProbeUsesDefault(t *testing.T) {
-	tn := NewInt("test.default", 7, 0, 20, nil)
-	if got := tn.Get(); got != 7 {
-		t.Fatalf("Get = %d, want default 7", got)
-	}
-}
-
-func TestSetOverridesAndRestores(t *testing.T) {
-	calls := 0
-	tn := NewInt("test.set", 3, 0, 100, func() int { calls++; return 50 })
-	restore := tn.Set(8)
-	if got := tn.Get(); got != 8 || calls != 0 {
-		t.Fatalf("Get = %d (probe calls %d), want pinned 8 with no probe", got, calls)
-	}
-	restore()
-	if got := tn.Get(); got != 50 || calls != 1 {
-		t.Fatalf("after restore Get = %d (probe calls %d), want probed 50", got, calls)
-	}
-	// Restoring an already-resolved state keeps the probed value.
-	restore2 := tn.Set(1)
-	restore2()
-	if got := tn.Get(); got != 50 || calls != 1 {
-		t.Fatalf("second restore Get = %d (probe calls %d), want cached 50", got, calls)
-	}
-}
-
-func TestEnvOverride(t *testing.T) {
-	os.Setenv("GBENCH_TUNE_TEST_ENV_VALUE", "13")
-	defer os.Unsetenv("GBENCH_TUNE_TEST_ENV_VALUE")
-	tn := NewInt("test.env_value", 3, 0, 100, func() int { return 50 })
-	if got := tn.Get(); got != 13 {
-		t.Fatalf("Get = %d, want env override 13", got)
-	}
-}
-
-func TestTuneOffFreezesDefaults(t *testing.T) {
-	os.Setenv("GBENCH_TUNE", "off")
-	defer os.Unsetenv("GBENCH_TUNE")
-	calls := 0
-	tn := NewInt("test.off", 4, 0, 100, func() int { calls++; return 50 })
-	if got := tn.Get(); got != 4 || calls != 0 {
-		t.Fatalf("Get = %d (probe calls %d), want default 4 with probe skipped", got, calls)
-	}
-}
-
-func TestGetConcurrent(t *testing.T) {
-	calls := 0
-	tn := NewInt("test.concurrent", 0, 0, 100, func() int { calls++; return 42 })
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := tn.Get(); got != 42 {
-				t.Errorf("Get = %d, want 42", got)
-			}
-		}()
-	}
-	wg.Wait()
-	if calls != 1 {
-		t.Fatalf("probe ran %d times under concurrency, want 1", calls)
-	}
-}
-
+// TestResolveAllIncludesRegistered pins the provenance stamp: every
+// constant, by name, in sorted order.
 func TestResolveAllIncludesRegistered(t *testing.T) {
-	tn := NewInt("test.resolveall", 6, 0, 100, nil)
-	found := false
-	for _, r := range ResolveAll() {
-		if r.Name == "test.resolveall" {
-			found = true
-			if r.Value != 6 {
-				t.Fatalf("resolved value = %d, want 6", r.Value)
-			}
+	got := ResolveAll()
+	want := []Resolved{
+		{"fmindex.batch_width", FMIndexBatchWidth},
+		{"kmercnt.wave_width", KmerCntWaveWidth},
+		{"pileup.short_run_min", PileupShortRunMin},
+		{"pileup.word_run_min", PileupWordRunMin},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ResolveAll returned %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if !found {
-		t.Fatal("registered tunable missing from ResolveAll")
-	}
-	_ = tn
-}
-
-func TestHostKey(t *testing.T) {
-	p := Profile{OS: "linux", Arch: "amd64", NumCPU: 4}
-	if p.Key() != "linux/amd64/c4" {
-		t.Fatalf("Key = %q", p.Key())
-	}
-	if Host().NumCPU < 1 {
-		t.Fatalf("Host().NumCPU = %d", Host().NumCPU)
-	}
-}
-
-func TestBestNsPositive(t *testing.T) {
-	x := 0
-	ns := BestNs(3, 100, func() { x++ })
-	if ns < 0 {
-		t.Fatalf("BestNs = %v, want >= 0", ns)
-	}
-	if x != 300 {
-		t.Fatalf("f ran %d times, want 300", x)
+	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Name < got[j].Name }) {
+		t.Fatal("ResolveAll is not sorted by name")
 	}
 }
