@@ -274,10 +274,11 @@ func (b *phmmBench) RunCtx(ctx context.Context, threads int) (RunStats, error) {
 		Counters:  res.Counters,
 		TaskStats: res.TaskStats,
 		Extra: map[string]float64{
-			"pairs":     float64(res.Pairs),
-			"cells":     float64(res.CellUpdates),
-			"fallbacks": float64(res.Fallbacks),
-			"digest":    float64(res.Digest),
+			"pairs":        float64(res.Pairs),
+			"cells":        float64(res.CellUpdates),
+			"scalar_cells": float64(res.ScalarCells),
+			"fallbacks":    float64(res.Fallbacks),
+			"digest":       float64(res.Digest),
 		},
 	}, nil
 }

@@ -131,26 +131,6 @@ func (a Quad) Max(b Quad) Quad {
 	return Quad{maxf(a.A, b.A), maxf(a.B, b.B), maxf(a.C, b.C), maxf(a.D, b.D)}
 }
 
-// ScaleAdd2 returns a*s + b*t element-wise with every product and the
-// sum rounded SEPARATELY. The composed form a.Scale(s).Add(b.Scale(t))
-// computes the same reals, but after inlining it exposes a*s + b*t to
-// the compiler, which the Go spec permits to fuse into a single-
-// rounding FMA on architectures that have one (arm64). The explicit
-// float32 conversions here pin each intermediate to float32, which the
-// spec forbids fusing across — so this form has ONE rounding order on
-// every architecture. On amd64 the conversions are no-ops and the
-// generated code is identical to the composed form. Kernels whose
-// assembly counterparts must be bit-identical across architectures
-// (phmm's row update) use this instead of Scale/Add chains.
-func (a Quad) ScaleAdd2(s float32, b Quad, t float32) Quad {
-	return Quad{
-		float32(a.A*s) + float32(b.A*t),
-		float32(a.B*s) + float32(b.B*t),
-		float32(a.C*s) + float32(b.C*t),
-		float32(a.D*s) + float32(b.D*t),
-	}
-}
-
 // Sel4 selects per lane through the low four bits of mask: lane l is
 // on_l when bit l is set, off_l otherwise.
 func Sel4(mask uint32, on, off Quad) Quad {

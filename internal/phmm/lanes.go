@@ -34,17 +34,18 @@ package phmm
 // exactly like the scalar path, and ragged group tails (|H| mod 8)
 // use the scalar float32 path unchanged.
 //
-// On amd64 the per-row update dispatches to an SSE2 assembly kernel
-// (row_amd64.s), and on arm64 to a NEON kernel (row_arm64.s); both are
-// bit-identical to the pure-Go quad sweeps — the portable path below
-// is the reference they are tested against. To keep that contract on
-// arm64, rowQuad is written fusion-free: every multiply feeding an add
-// goes through an explicit float32 conversion, which the Go spec
-// forbids the compiler from fusing into a single-rounding FMA. The
-// conversions are no-ops on amd64.
+// On amd64 with AVX2 the per-row update dispatches to an assembly
+// kernel that runs with MXCSR.FTZ set (row_amd64.s), and on arm64 to a
+// NEON kernel (row_arm64.s); both are bit-identical to the pure-Go
+// quad sweeps — the portable path below is the reference they are
+// tested against. rowQuad routes every product through mul32, which
+// replays the amd64 flush to zero, and whose explicit float32
+// conversion the Go spec forbids the arm64 compiler from fusing into
+// a single-rounding FMA.
 
 import (
 	"math"
+	"runtime"
 
 	"repro/internal/genome"
 	"repro/internal/lanes"
@@ -60,8 +61,17 @@ import (
 // float32 ulps relative (k·2^-24, k ≤ 3 reassociated roundings), and
 // the perturbations compound across the read, giving |Δlog10| ≲
 // 3m·2^-24/ln(10) ≈ 2e-5 for the longest supported reads (m ≈ 250).
-// 1e-4 leaves almost an order of magnitude of slack over the
-// estimate; the differential tests assert it on every workload.
+//
+// On amd64 the row kernel also flushes to zero every product that
+// rounds below 2^-126 (see ftzBelow). Each flushed product is below
+// 2^-126, a cell computes six products, and every state's outgoing
+// transition weights sum to at most 1, so a loss at one cell reaches
+// the final sum at most undiminished: the total loss is below
+// 6·m·n·2^-126 ≈ 1.4e-32 for the suite's largest pairs (m·n ≤
+// 80·2400). A lane sum is kept only above underflowThreshold32 = 1e-28,
+// so the relative loss is below 1.4e-4 and |Δlog10| below 6e-5. With
+// the reassociation term that stays inside 1e-4; the differential
+// tests assert it on every workload.
 const laneTolerance = 1e-4
 
 // float32 transition constants, the same values forwardInto uses for
@@ -79,11 +89,11 @@ var (
 // laneGroup is the precomputed per-group haplotype layout: built once
 // per region and reused by every read's lane pass.
 type laneGroup struct {
-	maxN int                   // longest haplotype in the group
-	lens [lanes.Width]int      // per-lane haplotype lengths
-	init lanes.Lane8           // per-lane scaled initial D mass
-	mask [4][]uint8            // mask[b][j]: lanes whose hap[j] == b
-	live []uint8               // live[j]: lanes with j <= len(hap_l)
+	maxN int              // longest haplotype in the group
+	lens [lanes.Width]int // per-lane haplotype lengths
+	init lanes.Lane8      // per-lane scaled initial D mass
+	mask [4][]uint8       // mask[b][j]: lanes whose hap[j] == b
+	live []uint8          // live[j]: lanes with j <= len(hap_l)
 }
 
 // prepareGroups packs the region's full lane groups into s, reusing
@@ -222,13 +232,12 @@ func forwardLanes(read genome.Seq, qual []byte, grp *laneGroup, rows *[6][]float
 // is laneTolerance rather than bit-identity (see that constant's
 // derivation).
 //
-// Every a*b + c*d in this function is written with explicit float32
-// conversions around the products (inline for the table-indexed M
-// update, via Quad.ScaleAdd2 for the I/D updates). The conversions
-// pin each product to a separate rounding, so the arm64 compiler may
-// not fuse them into FMAs — this is what lets the NEON kernel in
-// row_arm64.s (which rounds every product and sum separately) be
-// bit-identical to this reference. On amd64 they are no-ops.
+// Every product goes through mul32, which rounds it on its own and,
+// on amd64, flushes it to zero exactly as the AVX2 kernel's FTZ mode
+// does; the float32 conversion inside mul32 also forbids the arm64
+// compiler from fusing a product into an FMA. This is what keeps the
+// assembly kernels (which round every product and sum separately)
+// bit-identical to this reference.
 func rowQuad(rowMask []uint8, priorMatch, priorMismatch float32,
 	pPM, pPI, pPD, pCM, pCI, pCD *float32, n, base int) {
 	tgo, tge := tmi32, tii32
@@ -266,15 +275,15 @@ func rowQuad(rowMask []uint8, priorMatch, priorMismatch float32,
 		mb := uint32(rowMask[j-1]) >> base
 		g := pI.Add(pDd)
 		mj := lanes.Quad{
-			A: float32(pM.A*prM[mb&1]) + float32(g.A*prG[mb&1]),
-			B: float32(pM.B*prM[mb>>1&1]) + float32(g.B*prG[mb>>1&1]),
-			C: float32(pM.C*prM[mb>>2&1]) + float32(g.C*prG[mb>>2&1]),
-			D: float32(pM.D*prM[mb>>3&1]) + float32(g.D*prG[mb>>3&1]),
+			A: mul32(pM.A, prM[mb&1]) + mul32(g.A, prG[mb&1]),
+			B: mul32(pM.B, prM[mb>>1&1]) + mul32(g.B, prG[mb>>1&1]),
+			C: mul32(pM.C, prM[mb>>2&1]) + mul32(g.C, prG[mb>>2&1]),
+			D: mul32(pM.D, prM[mb>>3&1]) + mul32(g.D, prG[mb>>3&1]),
 		}
 		pM = lanes.Load4U(pPM, o)
 		pI = lanes.Load4U(pPI, o)
-		ij := pM.ScaleAdd2(tgo, pI, tge)
-		dj := lastM.ScaleAdd2(tgo, lastD, tge)
+		ij := scaleAdd2(pM, tgo, pI, tge)
+		dj := scaleAdd2(lastM, tgo, lastD, tge)
 		lanes.Store4U(pCM, o, mj)
 		lanes.Store4U(pCI, o, ij)
 		lanes.Store4U(pCD, o, dj)
@@ -283,15 +292,15 @@ func rowQuad(rowMask []uint8, priorMatch, priorMismatch float32,
 		mb2 := uint32(rowMask[j]) >> base
 		g2 := pI.Add(pDd2)
 		mj2 := lanes.Quad{
-			A: float32(pM.A*prM[mb2&1]) + float32(g2.A*prG[mb2&1]),
-			B: float32(pM.B*prM[mb2>>1&1]) + float32(g2.B*prG[mb2>>1&1]),
-			C: float32(pM.C*prM[mb2>>2&1]) + float32(g2.C*prG[mb2>>2&1]),
-			D: float32(pM.D*prM[mb2>>3&1]) + float32(g2.D*prG[mb2>>3&1]),
+			A: mul32(pM.A, prM[mb2&1]) + mul32(g2.A, prG[mb2&1]),
+			B: mul32(pM.B, prM[mb2>>1&1]) + mul32(g2.B, prG[mb2>>1&1]),
+			C: mul32(pM.C, prM[mb2>>2&1]) + mul32(g2.C, prG[mb2>>2&1]),
+			D: mul32(pM.D, prM[mb2>>3&1]) + mul32(g2.D, prG[mb2>>3&1]),
 		}
 		pM = lanes.Load4U(pPM, o+lanes.Width)
 		pI = lanes.Load4U(pPI, o+lanes.Width)
-		ij2 := pM.ScaleAdd2(tgo, pI, tge)
-		dj2 := mj.ScaleAdd2(tgo, dj, tge)
+		ij2 := scaleAdd2(pM, tgo, pI, tge)
+		dj2 := scaleAdd2(mj, tgo, dj, tge)
 		lanes.Store4U(pCM, o+lanes.Width, mj2)
 		lanes.Store4U(pCI, o+lanes.Width, ij2)
 		lanes.Store4U(pCD, o+lanes.Width, dj2)
@@ -305,18 +314,52 @@ func rowQuad(rowMask []uint8, priorMatch, priorMismatch float32,
 		mb := uint32(rowMask[j-1]) >> base
 		g := pI.Add(pDd)
 		mj := lanes.Quad{
-			A: float32(pM.A*prM[mb&1]) + float32(g.A*prG[mb&1]),
-			B: float32(pM.B*prM[mb>>1&1]) + float32(g.B*prG[mb>>1&1]),
-			C: float32(pM.C*prM[mb>>2&1]) + float32(g.C*prG[mb>>2&1]),
-			D: float32(pM.D*prM[mb>>3&1]) + float32(g.D*prG[mb>>3&1]),
+			A: mul32(pM.A, prM[mb&1]) + mul32(g.A, prG[mb&1]),
+			B: mul32(pM.B, prM[mb>>1&1]) + mul32(g.B, prG[mb>>1&1]),
+			C: mul32(pM.C, prM[mb>>2&1]) + mul32(g.C, prG[mb>>2&1]),
+			D: mul32(pM.D, prM[mb>>3&1]) + mul32(g.D, prG[mb>>3&1]),
 		}
 		pM = lanes.Load4U(pPM, o)
 		pI = lanes.Load4U(pPI, o)
-		ij := pM.ScaleAdd2(tgo, pI, tge)
-		dj := lastM.ScaleAdd2(tgo, lastD, tge)
+		ij := scaleAdd2(pM, tgo, pI, tge)
+		dj := scaleAdd2(lastM, tgo, lastD, tge)
 		lanes.Store4U(pCM, o, mj)
 		lanes.Store4U(pCI, o, ij)
 		lanes.Store4U(pCD, o, dj)
+	}
+}
+
+// ftzBelow is the flush bound of the amd64 row kernel. Under MXCSR.FTZ
+// x86 flushes a result to +0 when it is tiny after rounding: when the
+// exact value, rounded to 24 bits with an unbounded exponent, is below
+// 2^-126. The largest 24-bit value below 2^-126 is 2^-126 - 2^-150;
+// exact values below the midpoint 2^-126 - 2^-151 round down to it,
+// and the midpoint itself rounds to even, up to 2^-126. So an exact
+// product p flushes iff p < 2^-126 - 2^-151. Comparing the float32
+// product against 2^-126 instead would get this boundary wrong:
+// (1-2^-24)·2^-126 is flushed by the hardware.
+const ftzBelow = 0x1p-126 - 0x1p-151
+
+// mul32 returns the float32 product a*b as this architecture's row
+// kernel computes it. The float64 product of two float32 values is
+// exact (48 significant bits), so float32(p) is the correctly rounded
+// float32 product, and p itself decides the amd64 flush. On other
+// architectures the comparison folds away and subnormals are kept.
+func mul32(a, b float32) float32 {
+	p := float64(a) * float64(b)
+	if runtime.GOARCH == "amd64" && p < ftzBelow {
+		return 0
+	}
+	return float32(p)
+}
+
+// scaleAdd2 returns a*s + b*t per lane, each product through mul32.
+func scaleAdd2(a lanes.Quad, s float32, b lanes.Quad, t float32) lanes.Quad {
+	return lanes.Quad{
+		A: mul32(a.A, s) + mul32(b.A, t),
+		B: mul32(a.B, s) + mul32(b.B, t),
+		C: mul32(a.C, s) + mul32(b.C, t),
+		D: mul32(a.D, s) + mul32(b.D, t),
 	}
 }
 
@@ -374,6 +417,7 @@ func evaluateRegionLanes(rg *Region, s *Scratch) RegionResult {
 			lr := LikelihoodInto(read, qual, rg.Haps[h], s)
 			res.Likelihoods[r*nh+h] = lr.Log10Likelihood
 			res.CellUpdates += lr.CellUpdates
+			res.ScalarCells += uint64(m) * uint64(len(rg.Haps[h]))
 			if lr.UsedDouble {
 				res.Fallbacks++
 			}

@@ -169,8 +169,8 @@ type Scratch struct {
 
 	// Lane-batched state (lanes.go): grouped haplotype layouts, the
 	// per-lane packed haplotype words, and the lane DP rows — flat
-	// float32 with a stride of lanes.Width per column, swept four
-	// lanes at a time (see forwardQuad).
+	// float32 with a stride of lanes.Width per column, advanced one
+	// read position at a time (see rowLanes).
 	groups   []laneGroup
 	packs    [lanes.Width][]uint64
 	laneRows [6][]float32
@@ -222,6 +222,11 @@ type RegionResult struct {
 	// Likelihoods[r*|H|+h] is log10 P(read r | hap h).
 	Likelihoods []float64
 	CellUpdates uint64
+	// ScalarCells counts the cells of CellUpdates that the scalar
+	// float32 forward evaluated: every pair of a region with fewer than
+	// eight haplotypes, and the ragged tail of a lane-batched region.
+	// Float64 fallback cells are not included.
+	ScalarCells uint64
 	Fallbacks   int
 }
 
@@ -266,6 +271,7 @@ func EvaluateRegionScalarInto(rg *Region, s *Scratch) RegionResult {
 			lr := LikelihoodInto(rg.Reads[r], rg.Quals[r], rg.Haps[h], s)
 			res.Likelihoods[r*nh+h] = lr.Log10Likelihood
 			res.CellUpdates += lr.CellUpdates
+			res.ScalarCells += uint64(len(rg.Reads[r])) * uint64(len(rg.Haps[h]))
 			if lr.UsedDouble {
 				res.Fallbacks++
 			}
@@ -283,6 +289,7 @@ type KernelResult struct {
 	Regions     int
 	Pairs       int
 	CellUpdates uint64
+	ScalarCells uint64 // see RegionResult.ScalarCells
 	Fallbacks   int
 	// Digest sums a hash of every read's (region, read, BestHap,
 	// likelihoods) modulo 2^52, so it is exact in a float64 and does
@@ -329,7 +336,7 @@ func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelRe
 		for k := range r.BestHap {
 			digest += readDigest(b.region, b.lo+k, r.BestHap[k], r.Likelihoods[k*len(rg.Haps):(k+1)*len(rg.Haps)])
 		}
-		b.cells, b.fallbacks, b.digest = r.CellUpdates, r.Fallbacks, digest
+		b.cells, b.scalarCells, b.fallbacks, b.digest = r.CellUpdates, r.ScalarCells, r.Fallbacks, digest
 		return nil
 	})
 	if err != nil {
@@ -340,6 +347,7 @@ func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelRe
 	for _, b := range blocks {
 		regionCells[b.region] += b.cells
 		res.CellUpdates += b.cells
+		res.ScalarCells += b.scalarCells
 		res.Fallbacks += b.fallbacks
 		res.Digest += b.digest
 	}
@@ -362,10 +370,10 @@ func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelRe
 // region against all of its haplotypes, with the outputs its task
 // fills in.
 type block struct {
-	region, lo, hi int
-	cells          uint64
-	fallbacks      int
-	digest         uint64
+	region, lo, hi     int
+	cells, scalarCells uint64
+	fallbacks          int
+	digest             uint64
 }
 
 // planBlocks lays the regions out as read blocks, in region order.

@@ -1,24 +1,46 @@
-// SSE2 kernel for the lane-batched PairHMM row update. See
-// row_asm.go for the contract: bit-identical to two pure-Go rowQuad
-// sweeps (same per-lane operations in the same rounding order).
+// AVX2 kernel for the lane-batched PairHMM row update. See row_asm.go
+// for the contract: bit-identical to two pure-Go rowQuad sweeps (same
+// per-lane operations in the same rounding order, no FMA), with
+// MXCSR.FTZ set for the duration of the call so products that round
+// below 2^-126 become +0 instead of subnormals. rowQuad's mul32
+// replays that flush in software.
 //
 // Register plan:
-//   X0  tgo (broadcast)      X6 lastM lo   X10-X14 transients
-//   X1  tge (broadcast)      X7 lastD lo
-//   X2  prMatchM (broadcast) X8 lastM hi
-//   X3  prMismM (broadcast)  X9 lastD hi
-//   X4  prMatchG (broadcast)
-//   X5  prMismG (broadcast)
+//   Y0  tgo (broadcast)       Y6 lastM
+//   Y1  tge (broadcast)       Y7 lastD
+//   Y2  prMatchM (broadcast)  Y8 lane bits: dword k = 1<<k
+//   Y3  prMismM (broadcast)   Y9-Y15 transients
+//   Y4  prMatchG (broadcast)
+//   Y5  prMismG (broadcast)
 //   SI/DI/R8 prev M/I/D   R9/R10/R11 cur M/I/D
-//   R12 mask cursor  BX blend table  CX columns left  DX byte offset
-//   R13/AX nibble scratch
+//   R12 mask cursor  CX columns left  DX byte offset
 //
-// Column j (1-based) lives at byte offset j*32; the lo quad at +0,
-// the hi quad at +16; diagonal predecessors at -32/-16.
+// Column j (1-based) lives at byte offset j*32, all eight lanes in one
+// ymm; the diagonal predecessors sit at -32. The rowArgs blend table
+// is not read: the lane-select mask is built in-register.
 
 #include "textflag.h"
 
-TEXT ·rowLanesAsm(SB), NOSPLIT, $0-8
+DATA laneBits<>+0(SB)/4, $1
+DATA laneBits<>+4(SB)/4, $2
+DATA laneBits<>+8(SB)/4, $4
+DATA laneBits<>+12(SB)/4, $8
+DATA laneBits<>+16(SB)/4, $16
+DATA laneBits<>+20(SB)/4, $32
+DATA laneBits<>+24(SB)/4, $64
+DATA laneBits<>+28(SB)/4, $128
+GLOBL laneBits<>(SB), RODATA|NOPTR, $32
+
+// The frame holds the caller's MXCSR at 0(SP) and the flushing one at
+// 4(SP). MXCSR is per thread, not per goroutine, so FTZ is set and
+// restored inside this call-free function, never from Go.
+TEXT ·rowLanesAsm(SB), NOSPLIT, $8-8
+	STMXCSR 0(SP)
+	MOVL    0(SP), AX
+	ORL     $0x8000, AX // FTZ (bit 15); DAZ stays as it was
+	MOVL    AX, 4(SP)
+	LDMXCSR 4(SP)
+
 	MOVQ a+0(FP), AX
 	MOVQ 0(AX), SI   // pPM
 	MOVQ 8(AX), DI   // pPI
@@ -27,135 +49,71 @@ TEXT ·rowLanesAsm(SB), NOSPLIT, $0-8
 	MOVQ 32(AX), R10 // pCI
 	MOVQ 40(AX), R11 // pCD
 	MOVQ 48(AX), R12 // mask
-	MOVQ 56(AX), BX  // blend table
 	MOVQ 64(AX), CX  // n
 
-	MOVSS  72(AX), X2 // prMatchM
-	SHUFPS $0, X2, X2
-	MOVSS  76(AX), X3 // prMismM
-	SHUFPS $0, X3, X3
-	MOVSS  80(AX), X4 // prMatchG
-	SHUFPS $0, X4, X4
-	MOVSS  84(AX), X5 // prMismG
-	SHUFPS $0, X5, X5
-	MOVSS  88(AX), X0 // tgo
-	SHUFPS $0, X0, X0
-	MOVSS  92(AX), X1 // tge
-	SHUFPS $0, X1, X1
+	VBROADCASTSS 72(AX), Y2 // prMatchM
+	VBROADCASTSS 76(AX), Y3 // prMismM
+	VBROADCASTSS 80(AX), Y4 // prMatchG
+	VBROADCASTSS 84(AX), Y5 // prMismG
+	VBROADCASTSS 88(AX), Y0 // tgo
+	VBROADCASTSS 92(AX), Y1 // tge
+	VMOVDQU      laneBits<>(SB), Y8
 
-	// Column 0 of the current rows is the DP boundary: all zero.
-	XORPS  X10, X10
-	MOVUPS X10, 0(R9)
-	MOVUPS X10, 16(R9)
-	MOVUPS X10, 0(R10)
-	MOVUPS X10, 16(R10)
-	MOVUPS X10, 0(R11)
-	MOVUPS X10, 16(R11)
-
-	// D chains start at the boundary zeros.
-	XORPS X6, X6
-	XORPS X7, X7
-	XORPS X8, X8
-	XORPS X9, X9
+	// Column 0 of the current rows is the DP boundary: all zero. The
+	// D chain starts at the boundary zeros.
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	VMOVUPS Y6, 0(R9)
+	VMOVUPS Y6, 0(R10)
+	VMOVUPS Y6, 0(R11)
 
 	MOVQ  $32, DX // byte offset of column 1
 	TESTQ CX, CX
 	JLE   done
 
 loop:
-	MOVBLZX (R12), R13 // mb = mask[j-1]
-	INCQ    R12
-
-	// ---------- lo quad (lanes 0-3, nibble mb&15) ----------
-	MOVQ   R13, AX
-	ANDQ   $15, AX
-	SHLQ   $4, AX
-	MOVUPS (BX)(AX*1), X10 // lane-select mask
+	// Lane-select mask: broadcast mb = mask[j-1] to every byte, keep
+	// lane k's bit in dword k, compare back against the bit.
+	VPBROADCASTB (R12), Y9
+	INCQ         R12
+	VPAND        Y8, Y9, Y9
+	VPCMPEQD     Y8, Y9, Y9
 
 	// prM = mask ? prMatchM : prMismM ; prG likewise.
-	MOVAPS X10, X11
-	ANDPS  X2, X11
-	MOVAPS X10, X12
-	ANDNPS X3, X12
-	ORPS   X12, X11        // X11 = prM
-	MOVAPS X10, X12
-	ANDPS  X4, X12
-	ANDNPS X5, X10
-	ORPS   X10, X12        // X12 = prG
+	VBLENDVPS Y9, Y2, Y3, Y10 // Y10 = prM
+	VBLENDVPS Y9, Y4, Y5, Y11 // Y11 = prG
 
 	// mj = pMd*prM + (pId+pDd)*prG
-	MOVUPS -32(SI)(DX*1), X13
-	MULPS  X11, X13
-	MOVUPS -32(DI)(DX*1), X14
-	MOVUPS -32(R8)(DX*1), X10
-	ADDPS  X14, X10
-	MULPS  X12, X10
-	ADDPS  X10, X13        // X13 = mj
+	VMOVUPS -32(SI)(DX*1), Y12
+	VMULPS  Y10, Y12, Y12
+	VMOVUPS -32(DI)(DX*1), Y13
+	VMOVUPS -32(R8)(DX*1), Y14
+	VADDPS  Y14, Y13, Y13
+	VMULPS  Y11, Y13, Y13
+	VADDPS  Y13, Y12, Y12 // Y12 = mj
 
 	// ij = pMu*tgo + pIu*tge
-	MOVUPS (SI)(DX*1), X14
-	MULPS  X0, X14
-	MOVUPS (DI)(DX*1), X11
-	MULPS  X1, X11
-	ADDPS  X11, X14        // X14 = ij
+	VMOVUPS (SI)(DX*1), Y13
+	VMULPS  Y0, Y13, Y13
+	VMOVUPS (DI)(DX*1), Y14
+	VMULPS  Y1, Y14, Y14
+	VADDPS  Y14, Y13, Y13 // Y13 = ij
 
 	// dj = lastM*tgo + lastD*tge
-	MOVAPS X6, X12
-	MULPS  X0, X12
-	MOVAPS X7, X11
-	MULPS  X1, X11
-	ADDPS  X11, X12        // X12 = dj
+	VMULPS Y0, Y6, Y14
+	VMULPS Y1, Y7, Y15
+	VADDPS Y15, Y14, Y7 // Y7 = dj, the next column's lastD
 
-	MOVUPS X13, (R9)(DX*1)
-	MOVUPS X14, (R10)(DX*1)
-	MOVUPS X12, (R11)(DX*1)
-	MOVAPS X13, X6         // lastM lo
-	MOVAPS X12, X7         // lastD lo
-
-	// ---------- hi quad (lanes 4-7, nibble mb>>4) ----------
-	SHRQ   $4, R13
-	SHLQ   $4, R13
-	MOVUPS (BX)(R13*1), X10
-
-	MOVAPS X10, X11
-	ANDPS  X2, X11
-	MOVAPS X10, X12
-	ANDNPS X3, X12
-	ORPS   X12, X11
-	MOVAPS X10, X12
-	ANDPS  X4, X12
-	ANDNPS X5, X10
-	ORPS   X10, X12
-
-	MOVUPS -16(SI)(DX*1), X13
-	MULPS  X11, X13
-	MOVUPS -16(DI)(DX*1), X14
-	MOVUPS -16(R8)(DX*1), X10
-	ADDPS  X14, X10
-	MULPS  X12, X10
-	ADDPS  X10, X13
-
-	MOVUPS 16(SI)(DX*1), X14
-	MULPS  X0, X14
-	MOVUPS 16(DI)(DX*1), X11
-	MULPS  X1, X11
-	ADDPS  X11, X14
-
-	MOVAPS X8, X12
-	MULPS  X0, X12
-	MOVAPS X9, X11
-	MULPS  X1, X11
-	ADDPS  X11, X12
-
-	MOVUPS X13, 16(R9)(DX*1)
-	MOVUPS X14, 16(R10)(DX*1)
-	MOVUPS X12, 16(R11)(DX*1)
-	MOVAPS X13, X8
-	MOVAPS X12, X9
+	VMOVUPS Y12, (R9)(DX*1)
+	VMOVUPS Y13, (R10)(DX*1)
+	VMOVUPS Y7, (R11)(DX*1)
+	VMOVAPS Y12, Y6 // lastM
 
 	ADDQ $32, DX
 	DECQ CX
 	JNZ  loop
 
 done:
+	VZEROUPPER
+	LDMXCSR 0(SP)
 	RET

@@ -4,25 +4,30 @@ package phmm
 
 import "repro/internal/cpufeat"
 
-// Assembly fast paths for the lane-batched row update: SSE2 on amd64
-// (row_amd64.s), NEON on arm64 (row_arm64.s). Both kernels replay
-// rowQuad's per-lane arithmetic with packed 4-wide ops — same
-// operations, same rounding order, so their output is bit-identical to
-// the pure-Go quad path (TestRowLanesMatchesRowQuad asserts exactly
-// that). SSE2 is in the amd64 baseline and ASIMD in the arm64
-// baseline, so the hardware always qualifies; dispatch still consults
-// cpufeat so GBENCH_SIMD=off pins the portable quad path — every asm
-// kernel in the suite has a forced-portable twin reachable without
+// Assembly fast paths for the lane-batched row update: AVX2 on amd64
+// (row_amd64.s, all eight lanes in one ymm), NEON on arm64
+// (row_arm64.s, two 4-wide quads). Both kernels replay rowQuad's
+// per-lane arithmetic with packed ops — same operations, same rounding
+// order, so their output is bit-identical to the pure-Go quad path
+// (TestRowLanesMatchesRowQuad and TestRowLanesFlushToZeroHammer assert
+// exactly that). Dispatch consults cpufeat: amd64 hosts without AVX2,
+// GBENCH_SIMD=sse2 and GBENCH_SIMD=off take the portable quad path —
+// one fast path plus its forced-portable twin, reachable without
 // rebuilding.
 //
-// The arm64 kernel earns bit-identity differently than the amd64 one:
-// the Go arm64 assembler exposes no packed FMUL/FADD, so the NEON
-// kernel computes a*b as FMLA into a zeroed register (one rounding of
-// 0 + a*b == one rounding of a*b; exact here because every operand in
-// the forward pass is non-negative, so a*b is never -0) and x+y as
-// FMLA with a broadcast 1.0 (one rounding of x + y*1.0; y*1.0 is
-// always exact). The Go reference holds up its side by being
-// fusion-free — see rowQuad.
+// The amd64 kernel runs with MXCSR.FTZ set (see row_amd64.s): a
+// product that rounds below 2^-126 becomes +0 instead of a subnormal,
+// which would cost a microcode assist per lane. rowQuad's mul32
+// replays that flush on amd64, so the twin stays bit-identical.
+//
+// The arm64 kernel earns bit-identity differently: the Go arm64
+// assembler exposes no packed FMUL/FADD, so the NEON kernel computes
+// a*b as FMLA into a zeroed register (one rounding of 0 + a*b == one
+// rounding of a*b; exact here because every operand in the forward
+// pass is non-negative, so a*b is never -0) and x+y as FMLA with a
+// broadcast 1.0 (one rounding of x + y*1.0; y*1.0 is always exact).
+// The Go reference holds up its side by being fusion-free — see
+// rowQuad. On arm64 subnormals are kept: mul32 flushes on amd64 only.
 
 // haveRowAsm reports whether rowLanes dispatches to an assembly
 // kernel on this architecture (informational, used by tests/docs).
@@ -35,7 +40,7 @@ type rowArgs struct {
 	pPM, pPI, pPD *float32 // previous M/I/D rows (stride lanes.Width)
 	pCM, pCI, pCD *float32 // current M/I/D rows
 	mask          *uint8   // per-column 8-lane match bits, len n
-	tab           *uint32  // &blendTab[0][0]: nibble -> 4-lane select mask
+	tab           *uint32  // &blendTab[0][0] (arm64 only): nibble -> 4-lane select mask
 	n             int64    // columns (haplotype positions)
 	prMatchM      float32  // priorMatch * tMM
 	prMismM       float32  // priorMismatch * tMM
@@ -46,11 +51,10 @@ type rowArgs struct {
 }
 
 // blendTab maps a 4-bit lane-match nibble to a 128-bit select mask:
-// entry i, dword k is all-ones iff bit k of i is set. The amd64 kernel
-// gathers one entry per nibble and selects between the match and
-// mismatch prior vectors with AND/ANDN/OR; the arm64 kernel uses the
-// same entry in an xor-select, prior = (diff AND mask) XOR mism with
-// diff = match XOR mism.
+// entry i, dword k is all-ones iff bit k of i is set. The arm64 kernel
+// uses one entry per nibble in an xor-select, prior = (diff AND mask)
+// XOR mism with diff = match XOR mism. The amd64 kernel builds its
+// 8-lane mask in-register and ignores the table.
 var blendTab = func() (t [16][4]uint32) {
 	for i := range t {
 		for k := 0; k < 4; k++ {
@@ -67,11 +71,11 @@ func rowLanesAsm(a *rowArgs)
 
 // rowLanes advances all eight lanes of one read position: column 0 of
 // the current rows is zeroed and columns 1..n are filled from the
-// previous rows, exactly as two rowQuad sweeps would. With the SIMD
-// tier overridden off, it IS two rowQuad sweeps.
+// previous rows, exactly as two rowQuad sweeps would. Without AVX2 on
+// amd64 or NEON on arm64, it IS two rowQuad sweeps.
 func rowLanes(rowMask []uint8, priorMatch, priorMismatch float32,
 	prevM, prevI, prevD, curM, curI, curD []float32, n int) {
-	if f := cpufeat.Get(); !f.HasSSE2 && !f.HasNEON {
+	if f := cpufeat.Get(); !f.HasAVX2 && !f.HasNEON {
 		rowQuad(rowMask, priorMatch, priorMismatch,
 			&prevM[0], &prevI[0], &prevD[0], &curM[0], &curI[0], &curD[0], n, 0)
 		rowQuad(rowMask, priorMatch, priorMismatch,

@@ -66,6 +66,7 @@ func unsplitReference(regions []*Region) KernelResult {
 		r := EvaluateRegionInto(rg, NewScratch())
 		ref.Pairs += len(rg.Reads) * len(rg.Haps)
 		ref.CellUpdates += r.CellUpdates
+		ref.ScalarCells += r.ScalarCells
 		ref.Fallbacks += r.Fallbacks
 		ref.TaskStats.Observe(float64(r.CellUpdates))
 		for k := range r.BestHap {
@@ -120,10 +121,10 @@ func TestRunKernelSplitMatchesUnsplit(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		got := RunKernel(regions, threads)
 		if got.Regions != want.Regions || got.Pairs != want.Pairs || got.CellUpdates != want.CellUpdates ||
-			got.Fallbacks != want.Fallbacks || got.Digest != want.Digest {
-			t.Errorf("threads %d: got regions=%d pairs=%d cells=%d fallbacks=%d digest=%x, want %d %d %d %d %x",
-				threads, got.Regions, got.Pairs, got.CellUpdates, got.Fallbacks, got.Digest,
-				want.Regions, want.Pairs, want.CellUpdates, want.Fallbacks, want.Digest)
+			got.ScalarCells != want.ScalarCells || got.Fallbacks != want.Fallbacks || got.Digest != want.Digest {
+			t.Errorf("threads %d: got regions=%d pairs=%d cells=%d scalar=%d fallbacks=%d digest=%x, want %d %d %d %d %d %x",
+				threads, got.Regions, got.Pairs, got.CellUpdates, got.ScalarCells, got.Fallbacks, got.Digest,
+				want.Regions, want.Pairs, want.CellUpdates, want.ScalarCells, want.Fallbacks, want.Digest)
 		}
 		if g, w := got.TaskStats.Summarize(), want.TaskStats.Summarize(); !reflect.DeepEqual(g, w) {
 			t.Errorf("threads %d: task stats %+v, want %+v", threads, g, w)
